@@ -68,7 +68,7 @@ def main() -> None:
         out = svc.apply_batch("bitrev", batch)
         assert np.array_equal(out[0], expected(perms["bitrev"], batch[0]))
         serve_s = time.perf_counter() - t0
-        plans = svc.planner.plans
+        plans = svc.planner.stats()["cold_plans"]
         assert plans == warmed, "serving must not re-plan"
         print(f"{REQUESTS * len(perms) + 1} requests served without "
               f"re-planning in {serve_s * 1e3:.1f} ms "

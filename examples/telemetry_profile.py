@@ -2,7 +2,8 @@
 
 Runs the full pipeline — plan, save/load, apply, simulate — under an
 active tracer, then shows every view the telemetry layer offers: the
-span tree, the counters, the Prometheus exposition, and the exported
+span tree, the counters the run moved in the always-on metrics
+registry, its Prometheus exposition, and the exported
 artefacts (Chrome trace JSON + JSONL event log) that
 ``python -m repro profile`` writes.
 
@@ -26,7 +27,7 @@ N, WIDTH = 4096, 32
 print(__doc__)
 
 tracer = telemetry.Tracer()
-with telemetry.use_tracer(tracer):
+with telemetry.use_tracer(tracer), telemetry.counting() as counts:
     p = repro.permutations.bit_reversal(N)
     plan = repro.ScheduledPermutation.plan(p, width=WIDTH)
     with tempfile.TemporaryDirectory() as tmp:
@@ -45,13 +46,13 @@ print("== span tree (wall clock) ==")
 print(telemetry.render_span_tree(tracer))
 
 print()
-print("== counters ==")
-for name in sorted(tracer.counters):
-    print(f"  {name} = {tracer.counters[name]:g}")
+print("== counters (registry deltas over the run) ==")
+for name in sorted(counts):
+    print(f"  {name} = {counts[name]:g}")
 
 print()
-print("== Prometheus exposition (excerpt) ==")
-print("\n".join(telemetry.prometheus_text(tracer).splitlines()[:8]))
+print("== Prometheus exposition of the registry (excerpt) ==")
+print("\n".join(telemetry.REGISTRY.prometheus_text().splitlines()[:8]))
 
 # Model time bridged onto spans equals the simulated trace totals.
 (simulate_span,) = tracer.find("scheduled.simulate")

@@ -38,8 +38,8 @@ Commands
 Every command returns its report as a string from a ``cmd_*`` function
 (unit-testable) and ``main`` prints it.  ``cost``, ``demo`` and
 ``resilience-demo`` additionally accept ``--telemetry``, which runs the
-command under an active tracer and appends the counters and span tree
-it emitted; ``cost``, ``plan`` and ``profile`` accept ``--cache-dir``,
+command under an active tracer and appends its span tree and the
+counters it moved; ``cost``, ``plan`` and ``profile`` accept ``--cache-dir``,
 which resolves plans through the persistent disk cache of
 :class:`repro.planner.Planner` instead of re-planning.
 """
@@ -692,7 +692,8 @@ def cmd_profile(args) -> str:
         planner = Planner(cache_dir=args.cache_dir)
     tracer = telemetry.Tracer(sinks=sinks)
     try:
-        with telemetry.use_tracer(tracer):
+        with telemetry.use_tracer(tracer), \
+                telemetry.counting() as counts:
             # Each stage runs at top level so tracer.roots() is exactly
             # the phase table: plan, save, load(+verify), apply,
             # simulate.  With --cache-dir the plan phase resolves
@@ -711,6 +712,13 @@ def cmd_profile(args) -> str:
             a = a.astype(dtype)
             plan.apply(a)
             trace = plan.simulate(machine, dtype=dtype)
+        if planner is not None:   # this run's own: totals are deltas
+            counts.update((k, v) for k, v in
+                          planner.metrics.counter_values().items() if v)
+        for sink in sinks:
+            for series in sorted(counts):
+                sink.write({"type": "counter", "name": series,
+                            "delta": counts[series]})
     finally:
         for sink in sinks:
             sink.close()
@@ -734,8 +742,8 @@ def cmd_profile(args) -> str:
         "",
         "counters:",
     ]
-    for name in sorted(tracer.counters):
-        parts.append(f"   {name} = {tracer.counters[name]:g}")
+    for name in sorted(counts):
+        parts.append(f"   {name} = {counts[name]:g}")
     parts.append("")
     parts.append("model: " + format_metrics(metrics))
     if args.trace_out:
@@ -1426,20 +1434,20 @@ def _add_telemetry_flag(sub) -> None:
     sub.add_argument(
         "--telemetry",
         action="store_true",
-        help="run under an active tracer; append emitted counters and "
-             "the span tree to the output",
+        help="run under an active tracer; append the counters the "
+             "command moved and the span tree to the output",
     )
 
 
-def _telemetry_summary(tracer) -> str:
+def _telemetry_summary(tracer, counts: dict) -> str:
     from repro import telemetry
 
     lines = [
         f"telemetry: {len(tracer.spans)} span(s), "
-        f"{len(tracer.counters)} counter(s)"
+        f"{len(counts)} counter(s)"
     ]
-    for name in sorted(tracer.counters):
-        lines.append(f"   counter {name} = {tracer.counters[name]:g}")
+    for name in sorted(counts):
+        lines.append(f"   counter {name} = {counts[name]:g}")
     tree = telemetry.render_span_tree(tracer)
     if tree:
         lines.append("   spans:")
@@ -1453,11 +1461,12 @@ def main(argv: list[str] | None = None) -> int:
         from repro import telemetry
 
         tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
+        with telemetry.use_tracer(tracer), \
+                telemetry.counting() as counts:
             out = args.func(args)
         print(out)
         print()
-        print(_telemetry_summary(tracer))
+        print(_telemetry_summary(tracer, counts))
     else:
         print(args.func(args))
     return 0

@@ -225,8 +225,8 @@ def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
             colors,
             base=0,
         )
-        telemetry.count("coloring.euler.calls")
-        telemetry.count("coloring.edges_colored", graph.num_edges)
+        telemetry.count("coloring_euler_calls_total")
+        telemetry.count("coloring_edges_colored_total", graph.num_edges)
         return colors
 
 

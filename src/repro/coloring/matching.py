@@ -161,12 +161,12 @@ def _extract_matchings(
         colors[order[next_slot[bucket]]] = color
         next_slot[bucket] += 1
         remaining[bucket] -= 1
-        telemetry.count("coloring.matchings_extracted")
+        telemetry.count("coloring_matchings_extracted_total")
 
     if np.any(colors < 0):  # pragma: no cover - guarded by regularity
         raise ColoringError("some edges were never coloured")
-    telemetry.count("coloring.matching.calls")
-    telemetry.count("coloring.edges_colored", graph.num_edges)
+    telemetry.count("coloring_matching_calls_total")
+    telemetry.count("coloring_edges_colored_total", graph.num_edges)
     return colors
 
 

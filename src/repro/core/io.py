@@ -377,7 +377,7 @@ def save_plan(path, plan, certify: bool = True,
         sp.set(file_bytes=Path(path).stat().st_size,
                certified="certificate" in extra,
                semantically_certified="semantic_certificate" in extra)
-        telemetry.count("plan_io.saved")
+        telemetry.count("plan_io_saved_total")
 
 
 def _pack_v2(plan: ScheduledPermutation) -> dict:
@@ -551,9 +551,9 @@ def load_plan(path):
         try:
             plan = _load_plan_inner(path, sp)
         except Exception:
-            telemetry.count("plan_io.rejected")
+            telemetry.count("plan_io_rejected_total")
             raise
-        telemetry.count("plan_io.loaded")
+        telemetry.count("plan_io_loaded_total")
         return plan
 
 
@@ -913,7 +913,7 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
             **arrays,
         )
         sp.set(file_bytes=Path(path).stat().st_size)
-        telemetry.count("plan_io.sealed_saved")
+        telemetry.count("plan_io_sealed_saved_total")
 
 
 def load_sealed(path, expected_plan_sha: str | None = None):
@@ -935,7 +935,7 @@ def load_sealed(path, expected_plan_sha: str | None = None):
             with np.load(Path(path)) as data:
                 arrays = {k: np.asarray(data[k]) for k in data.files}
         except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            telemetry.count("plan_io.sealed_rejected")
+            telemetry.count("plan_io_sealed_rejected_total")
             raise PlanCorruptionError(
                 f"{path}: sealed artifact is unreadable (truncated or "
                 f"not a save_sealed archive): {exc}"
@@ -943,10 +943,10 @@ def load_sealed(path, expected_plan_sha: str | None = None):
         try:
             sealed = _decode_sealed(path, arrays, expected_plan_sha)
         except Exception:
-            telemetry.count("plan_io.sealed_rejected")
+            telemetry.count("plan_io_sealed_rejected_total")
             raise
         sp.set(n=sealed.n, engine=sealed.engine)
-        telemetry.count("plan_io.sealed_loaded")
+        telemetry.count("plan_io_sealed_loaded_total")
         return sealed
 
 

@@ -71,7 +71,7 @@ class PaddedScheduledPermutation(EngineBase):
                                               backend=backend)
             plan = cls(n=n, inner=inner)
             sp.set(overhead=plan.overhead)
-            telemetry.count("plans.padded")
+            telemetry.count("plans_padded_total")
         return plan
 
     @property

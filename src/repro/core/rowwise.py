@@ -136,7 +136,7 @@ class RowwiseSchedule:
             colors = edge_coloring(graph, backend=backend)
             verify_edge_coloring(graph, colors,
                                  expect_colors=max(m // width, 1))
-            telemetry.count("coloring.rows_colored", rows)
+            telemetry.count("coloring_rows_colored_total", rows)
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]

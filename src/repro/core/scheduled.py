@@ -100,7 +100,7 @@ class ScheduledPermutation(EngineBase):
             with telemetry.span("scheduled.plan.step3"):
                 step3 = RowwiseSchedule.plan(decomposition.gamma3, width,
                                              backend)
-            telemetry.count("plans.scheduled")
+            telemetry.count("plans_scheduled_total")
         return cls(
             p=p,
             width=width,

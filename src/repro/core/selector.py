@@ -91,8 +91,10 @@ def build_engine(
     conventional engines are plain wrappers and cannot fail beyond
     input validation.
     """
-    telemetry.count(f"engines.built.{name}" if name in engine_names()
-                    else "engines.built.unknown")
+    telemetry.count(
+        "engines_built_total",
+        engine=name if name in engine_names() else "unknown",
+    )
     cls = get_engine(name)
     return cls.plan(p, width=width, backend=backend)
 

@@ -24,10 +24,10 @@ backed by the OS page cache and are reclaimable at any time; they are
 deliberately *not* charged against the budget — that is what makes the
 scheme out-of-core.
 
-Telemetry: every run/stripe gets a span; tiles, streamed bytes and
-exchange volume are counted, and an optional
-:class:`~repro.telemetry.MetricsRegistry` receives ``stream_*``
-histograms for tile bytes, resident bytes and exchange segment bytes.
+Telemetry: every run/stripe gets a span; the executor's
+:class:`~repro.telemetry.MetricsRegistry` (the process-wide one unless
+given) receives ``stream_*`` histograms for tile bytes, resident bytes
+and exchange segment bytes; a job's totals are its StreamingStats.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class StreamingJob:
         max_resident_bytes: int,
         tmp_dir: str | Path | None,
         concurrency: int,
-        metrics: MetricsRegistry | None,
+        metrics: MetricsRegistry,
     ) -> None:
         self.sharded = sharded
         self._metrics = metrics
@@ -217,11 +217,10 @@ class StreamingJob:
             exchange_elements=sharded.exchange_elements,
             exchange_bytes=sharded.exchange_elements * itemsize,
         )
-        if metrics is not None:
-            seg_hist = metrics.histogram("stream_exchange_segment_bytes")
-            for seg in sharded.segments:
-                if seg.crosses:
-                    seg_hist.observe(seg.length * itemsize)
+        seg_hist = metrics.histogram("stream_exchange_segment_bytes")
+        for seg in sharded.segments:
+            if seg.crosses:
+                seg_hist.observe(seg.length * itemsize)
 
     # ------------------------------------------------------------- stripes
 
@@ -267,12 +266,9 @@ class StreamingJob:
                     self.stats.tiles_loaded += 1
                     self.stats.bytes_read += payload_bytes + idx.nbytes
                     self.stats.bytes_written += payload_bytes
-                telemetry.count("stream.tiles")
-                telemetry.count("stream.bytes", payload_bytes)
-                if self._metrics is not None:
-                    self._metrics.histogram(
-                        "stream_tile_bytes", phase=phase
-                    ).observe(payload_bytes)
+                self._metrics.histogram(
+                    "stream_tile_bytes", phase=phase
+                ).observe(payload_bytes)
                 del idx, tile
         with self._cond:
             self._done[phase].add(k)
@@ -320,10 +316,9 @@ class StreamingJob:
                 self.stats.peak_resident_total_bytes,
                 self._resident_total,
             )
-            if self._metrics is not None:
-                self._metrics.histogram("stream_resident_bytes").observe(
-                    self._resident_total
-                )
+            self._metrics.histogram("stream_resident_bytes").observe(
+                self._resident_total
+            )
 
     def _release(self, payload_bytes: int, total_bytes: int) -> None:
         with self._lock:
@@ -360,10 +355,6 @@ class StreamingJob:
             if isinstance(self._out, np.memmap):
                 self._out.flush()
             self.stats.seconds = time.perf_counter() - self._started
-            telemetry.gauge(
-                "stream.peak_resident_bytes",
-                self.stats.peak_resident_total_bytes,
-            )
             self._cleanup()
         return self.stats
 
@@ -392,7 +383,7 @@ class StreamingExecutor:
                 f"max_resident_bytes must be >= 1, got {max_resident_bytes}"
             )
         self.max_resident_bytes = int(max_resident_bytes)
-        self.metrics = metrics
+        self.metrics = telemetry.REGISTRY if metrics is None else metrics
 
     def prepare(
         self,

@@ -136,8 +136,8 @@ class HMM:
             for rnd in kernel.rounds:
                 trace.rounds.append(self.run_round(rnd))
             sp.set(model_time=trace.time, model_rounds=trace.num_rounds)
-            telemetry.count("hmm.rounds", trace.num_rounds)
-            telemetry.count("hmm.time_units", trace.time)
+            telemetry.count("hmm_rounds_total", trace.num_rounds)
+            telemetry.count("hmm_time_units_total", trace.time)
         return trace
 
     def run_program(
@@ -214,7 +214,7 @@ class HMM:
             )
             total = local + exchange
             sp.set(model_time=total, exchange=exchange)
-            telemetry.count("hmm.time_units", total)
+            telemetry.count("hmm_time_units_total", total)
         return {
             "d": sharded.d,
             "stripe": sharded.stripe,

@@ -192,7 +192,7 @@ class PassPipeline:
                 rounds_before=program.num_rounds,
                 rounds_after=current.num_rounds,
             )
-        telemetry.count("passes.programs_optimized")
+        telemetry.count("passes_programs_optimized_total")
         return current, changes
 
     def _apply_one(
@@ -224,7 +224,7 @@ class PassPipeline:
                 rounds_after=after.num_rounds,
             )
         )
-        telemetry.count("passes.applied." + p.name)
+        telemetry.count("passes_applied_total", **{"pass": p.name})
         return after
 
 
@@ -234,7 +234,7 @@ class ValidatedPass:
     Wraps an inner pass and refuses any rewrite whose denoted index
     map differs from the input's: the unproven rewrite is simply not
     applied (the input program is returned unchanged) and a
-    ``passes.semantic.refused.<name>`` telemetry counter records the
+    ``passes_semantic_refused_total{pass=<name>}`` counter records the
     refusal.  This is how ``aggressive_pipeline`` makes
     ``drop-identities`` provably safe without giving up on it — a bad
     drop degrades to a no-op instead of a wrong answer.
@@ -260,7 +260,9 @@ class ValidatedPass:
         before_den = denote_program(program)
         if not before_den.ok:
             # Nothing provable to preserve; keep the input untouched.
-            telemetry.count("passes.semantic.refused." + self.inner.name)
+            telemetry.count(
+                "passes_semantic_refused_total", **{"pass": self.inner.name}
+            )
             return program
         if after.ops:
             after_den = denote_program(after)
@@ -277,6 +279,8 @@ class ValidatedPass:
                 )
             )
         if not preserved:
-            telemetry.count("passes.semantic.refused." + self.inner.name)
+            telemetry.count(
+                "passes_semantic_refused_total", **{"pass": self.inner.name}
+            )
             return program
         return after

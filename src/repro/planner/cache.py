@@ -26,11 +26,11 @@ directory itself is bounded by ``max_bytes`` with LRU eviction (plan
 and sidecar evicted together); foreign files are ignored, never
 deleted or accounted.
 
-Every cache event is double-booked: plain integer counters on the
-cache object (inspectable without any tracer) and guarded telemetry
-counters (``planner.cache.hit.memory``, ``planner.cache.miss.disk``,
-``planner.cache.eviction``, ``planner.sealed.hit.disk``, ...) when a
-tracer is active.
+Every cache event is counted once, in a
+:class:`~repro.telemetry.MetricsRegistry` — the owning planner's, or a
+cache's own when it stands alone — as ``planner_cache_<event>_total``
+labeled by ``tier`` (``memory`` / ``disk`` / ``sealed``).  The
+counters are bound at construction, and ``stats()`` reads them back.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro import telemetry
 from repro.errors import ValidationError
+from repro.telemetry import Counter, MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.ir.sealed import SealedProgram
@@ -62,6 +62,16 @@ def _entry_bytes(compiled: "CompiledPermutation") -> int:
     return 0
 
 
+def _tier_counters(
+    metrics: MetricsRegistry, tier: str, *events: str
+) -> dict[str, Counter]:
+    """``planner_cache_<event>_total{tier=...}`` children, by event."""
+    return {
+        event: metrics.counter(f"planner_cache_{event}_total", tier=tier)
+        for event in events
+    }
+
+
 class LRUPlanCache:
     """Bounded in-memory cache of compiled permutations.
 
@@ -72,13 +82,18 @@ class LRUPlanCache:
     larger than ``max_bytes`` occupies the cache alone rather than
     being refused).
 
-    Thread-safe: lookups, insertions and the hit/miss/eviction
-    counters are guarded by one lock, so concurrent server workers
-    never lose an increment or corrupt the recency order.
+    Thread-safe: lookups and insertions are guarded by one lock, so
+    concurrent server workers never corrupt the recency order.  Events
+    count in ``self.metrics``: the owning planner's registry, else a
+    fresh one.
     """
 
     def __init__(
-        self, capacity: int = 64, max_bytes: int | None = None
+        self,
+        capacity: int = 64,
+        max_bytes: int | None = None,
+        *,
+        _metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValidationError(
@@ -96,10 +111,11 @@ class LRUPlanCache:
         self._nbytes: dict[str, int] = {}
         self._lock = threading.Lock()
         self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self.metrics = _metrics or MetricsRegistry()
+        self._events = _tier_counters(
+            self.metrics, "memory",
+            "hits", "misses", "evictions", "invalidations",
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,15 +126,9 @@ class LRUPlanCache:
     def get(self, fingerprint: str) -> CompiledPermutation | None:
         with self._lock:
             entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.misses += 1
-            else:
+            if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
-        if entry is None:
-            telemetry.count("planner.cache.miss.memory")
-            return None
-        telemetry.count("planner.cache.hit.memory")
+        self._events["misses" if entry is None else "hits"].inc()
         return entry
 
     def _over_budget(self) -> bool:
@@ -146,10 +156,9 @@ class LRUPlanCache:
             while self._over_budget():
                 victim, _ = self._entries.popitem(last=False)
                 self.bytes -= self._nbytes.pop(victim, 0)
-                self.evictions += 1
                 evicted += 1
-        for _ in range(evicted):
-            telemetry.count("planner.cache.eviction")
+        if evicted:
+            self._events["evictions"].inc(evicted)
 
     def get_if_present(
         self, fingerprint: str
@@ -161,9 +170,8 @@ class LRUPlanCache:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
         if entry is not None:
-            telemetry.count("planner.cache.hit.memory")
+            self._events["hits"].inc()
         return entry
 
     def invalidate(self, fingerprint: str) -> bool:
@@ -173,18 +181,17 @@ class LRUPlanCache:
             present = self._entries.pop(fingerprint, None) is not None
             if present:
                 self.bytes -= self._nbytes.pop(fingerprint, 0)
-                self.invalidations += 1
         if present:
-            telemetry.count("planner.cache.invalidation")
+            self._events["invalidations"].inc()
         return present
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "memory_hits": self.hits,
-                "memory_misses": self.misses,
-                "memory_evictions": self.evictions,
-                "memory_invalidations": self.invalidations,
+                **{
+                    f"memory_{event}": child.value
+                    for event, child in self._events.items()
+                },
                 "memory_entries": len(self._entries),
                 "memory_capacity": self.capacity,
                 "memory_bytes": self.bytes,
@@ -209,14 +216,18 @@ class DiskPlanCache:
     :func:`repro.core.io.save_sealed`) carry the plan's proven flat
     gather, bound to the plan file's payload checksum.  A sidecar that
     fails any proof on load is deleted and counted
-    (``planner.sealed.corrupt``); the caller heals by re-sealing from
+    (``sealed_corrupt``); the caller heals by re-sealing from
     the v3 plan.  ``max_bytes`` bounds the summed size of accounted
     entries with LRU eviction — plan and sidecar leave together.
     Foreign files in the directory are ignored, never deleted.
     """
 
     def __init__(
-        self, directory: str | Path, max_bytes: int | None = None
+        self,
+        directory: str | Path,
+        max_bytes: int | None = None,
+        *,
+        _metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValidationError(
@@ -228,21 +239,13 @@ class DiskPlanCache:
         self._lock = threading.Lock()
         self._sizes: OrderedDict[str, int] = OrderedDict()
         self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.stores = 0
-        self.evictions = 0
-        self.sealed_hits = 0
-        self.sealed_misses = 0
-        self.sealed_corrupt = 0
-        self.sealed_stores = 0
+        self.metrics = _metrics or MetricsRegistry()
+        events = ("hits", "misses", "corrupt", "stores")
+        self._disk = _tier_counters(
+            self.metrics, "disk", *events, "evictions"
+        )
+        self._sealed = _tier_counters(self.metrics, "sealed", *events)
         self._scan()
-
-    def _count(self, field: str, name: str) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-        telemetry.count(name)
 
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / f"{fingerprint}.npz"
@@ -317,12 +320,12 @@ class DiskPlanCache:
             ):
                 victim, size = self._sizes.popitem(last=False)
                 self.bytes -= size
-                self.evictions += 1
                 victims.append(victim)
         for victim in victims:
             self.path_for(victim).unlink(missing_ok=True)
             self.sealed_path_for(victim).unlink(missing_ok=True)
-            telemetry.count("planner.cache.eviction.disk")
+        if victims:
+            self._disk["evictions"].inc(len(victims))
 
     # -- v3 plan files -------------------------------------------------
 
@@ -333,7 +336,7 @@ class DiskPlanCache:
 
         path = self.path_for(fingerprint)
         if not path.exists():
-            self._count("misses", "planner.cache.miss.disk")
+            self._disk["misses"].inc()
             return None
         try:
             plan = load_plan(path)
@@ -349,11 +352,11 @@ class DiskPlanCache:
             path.unlink(missing_ok=True)
             self.sealed_path_for(fingerprint).unlink(missing_ok=True)
             self._account(fingerprint)
-            self._count("corrupt", "planner.cache.corrupt")
-            self._count("misses", "planner.cache.miss.disk")
+            self._disk["corrupt"].inc()
+            self._disk["misses"].inc()
             return None
         self._touch(fingerprint)
-        self._count("hits", "planner.cache.hit.disk")
+        self._disk["hits"].inc()
         return plan
 
     def store(
@@ -391,7 +394,7 @@ class DiskPlanCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._count("stores", "planner.cache.store.disk")
+        self._disk["stores"].inc()
         self._account(fingerprint)
         return path
 
@@ -411,7 +414,7 @@ class DiskPlanCache:
 
         path = self.sealed_path_for(fingerprint)
         if not path.exists():
-            self._count("sealed_misses", "planner.sealed.miss.disk")
+            self._sealed["misses"].inc()
             return None
         expected = None
         plan_path = self.path_for(fingerprint)
@@ -425,11 +428,11 @@ class DiskPlanCache:
         except PlanIntegrityError:
             path.unlink(missing_ok=True)
             self._account(fingerprint)
-            self._count("sealed_corrupt", "planner.sealed.corrupt")
-            self._count("sealed_misses", "planner.sealed.miss.disk")
+            self._sealed["corrupt"].inc()
+            self._sealed["misses"].inc()
             return None
         self._touch(fingerprint)
-        self._count("sealed_hits", "planner.sealed.hit.disk")
+        self._sealed["hits"].inc()
         return sealed
 
     def store_sealed(
@@ -448,24 +451,22 @@ class DiskPlanCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._count("sealed_stores", "planner.sealed.store.disk")
+        self._sealed["stores"].inc()
         self._account(fingerprint)
         return path
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "disk_hits": self.hits,
-                "disk_misses": self.misses,
-                "disk_corrupt": self.corrupt,
-                "disk_stores": self.stores,
-                "disk_evictions": self.evictions,
+                **{
+                    f"{tier}_{event}": child.value
+                    for tier, events in (
+                        ("disk", self._disk), ("sealed", self._sealed)
+                    )
+                    for event, child in events.items()
+                },
                 "disk_bytes": self.bytes,
                 "disk_max_bytes": self.max_bytes,
                 "disk_entries": len(self._sizes),
-                "sealed_hits": self.sealed_hits,
-                "sealed_misses": self.sealed_misses,
-                "sealed_corrupt": self.sealed_corrupt,
-                "sealed_stores": self.sealed_stores,
                 "disk_directory": str(self.directory),
             }

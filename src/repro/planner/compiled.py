@@ -40,6 +40,7 @@ from repro.staticcheck.semantics import (
     SemanticCertificate,
     validate_translation,
 )
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.exec.streaming import StreamingStats
@@ -106,7 +107,7 @@ class CompiledPermutation:
             if self._program is not None:
                 return
             assert self._loader is not None
-            telemetry.count("planner.sealed.rehydrated")
+            telemetry.count("planner_sealed_rehydrated_total")
             engine, program, cert = self._loader()
             self._engine = engine
             if self.semantic_certificate is None:
@@ -346,30 +347,41 @@ class Planner:
         disk_max_bytes: int | None = None,
     ) -> None:
         self.pipeline = pipeline or default_pipeline()
+        self._metrics = metrics = MetricsRegistry()
         self.memory = LRUPlanCache(
-            cache_size, max_bytes=cache_max_bytes
+            cache_size, max_bytes=cache_max_bytes, _metrics=metrics
         )
         self.disk = (
-            DiskPlanCache(cache_dir, max_bytes=disk_max_bytes)
+            DiskPlanCache(
+                cache_dir, max_bytes=disk_max_bytes, _metrics=metrics
+            )
             if cache_dir is not None
             else None
         )
         self.backend = backend
-        self.plans = 0
-        self.shard_plans = 0
-        self.sealed_plans = 0
-        self.semantic_rejections = 0
-        #: Optional :class:`~repro.telemetry.MetricsRegistry`; when set
-        #: every compile records ``planner_compile_seconds`` labeled by
-        #: the cache tier that answered (``memory``/``sealed``/
-        #: ``disk``/``cold``) and the engine, so the latency cliff
-        #: between tiers is measurable per request, not just countable.
-        self.metrics = None
+        self._cold_plans = metrics.counter("planner_cold_plans_total")
+        self._shard_plans = metrics.counter("planner_shard_plans_total")
+        self._sealed_plans = metrics.counter(
+            "planner_sealed_plans_total"
+        )
+        # Rejections are labeled by the blamed pass; binding every
+        # pass up front exports the family at zero.
+        for blame in (*(p.name for p in self.pipeline.passes),
+                      "<pipeline>"):
+            metrics.counter("planner_semantic_rejections_total",
+                            blame=blame)
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the
         # rest wait and take the memory hit.
         self._inflight: dict[str, threading.Lock] = {}
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The one registry of this planner, its cache tiers and the
+        service/server over it: every ``stats()`` counter, plus
+        ``planner_compile_seconds{tier,engine}`` per compile."""
+        return self._metrics
 
     def fingerprint(
         self,
@@ -410,10 +422,9 @@ class Planner:
             compiled, tier = self._resolve(fp, p, engine, width,
                                            backend)
             sp.set(tier=tier)
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "planner_compile_seconds", tier=tier, engine=engine
-            ).observe(time.perf_counter() - t0)
+        self._metrics.histogram(
+            "planner_compile_seconds", tier=tier, engine=engine
+        ).observe(time.perf_counter() - t0)
         return compiled
 
     def _resolve(
@@ -451,9 +462,7 @@ class Planner:
                         p, width=width,
                         backend=backend or self.backend,
                     )
-                with self._lock:
-                    self.plans += 1
-                telemetry.count("planner.planned")
+                self._cold_plans.inc()
                 tier = "cold"
                 if self.disk is not None:
                     self.disk.store(fp, plan,
@@ -495,12 +504,10 @@ class Planner:
                 pipeline_signature=self.pipeline.signature(),
             )
         except SemanticValidationError:  # pragma: no cover - belt
-            telemetry.count("planner.sealed.refused")
+            self._metrics.counter("planner_seal_refused_total").inc()
             return None
         sealed.certificate = cert
-        with self._lock:
-            self.sealed_plans += 1
-        telemetry.count("planner.sealed.planned")
+        self._sealed_plans.inc()
         return sealed
 
     def _store_sealed(
@@ -525,7 +532,7 @@ class Planner:
         except OSError:
             # A failed sidecar persist must not fail the compile; the
             # sealed form still serves from memory.
-            telemetry.count("planner.sealed.store_failed")
+            self._metrics.counter("planner_sealed_store_failed_total").inc()
 
     def _from_sealed(
         self, fp: str, sealed: SealedProgram, backend: str | None
@@ -551,9 +558,7 @@ class Planner:
                         width=sealed.width,
                         backend=backend or self.backend,
                     )
-                with self._lock:
-                    self.plans += 1
-                telemetry.count("planner.planned")
+                self._cold_plans.inc()
                 if self.disk is not None:
                     self.disk.store(fp, plan,
                                     self.pipeline.signature())
@@ -592,9 +597,7 @@ class Planner:
         fresh = d not in compiled._shards
         sharded = compiled.shard(d)
         if fresh:
-            with self._lock:
-                self.shard_plans += 1
-            telemetry.count("planner.sharded")
+            self._shard_plans.inc()
         return compiled, sharded
 
     def _optimize_validated(
@@ -607,8 +610,8 @@ class Planner:
         compile is *not* failed: the raw (unoptimized) program — which
         must itself denote the requested permutation, or
         :class:`~repro.errors.SemanticValidationError` is raised — is
-        served instead, the ``planner.semantic.rejected`` telemetry
-        counter is bumped, and the returned ``proven`` flag is False so
+        served instead, ``planner_semantic_rejections_total{blame=}``
+        is bumped, and the returned ``proven`` flag is False so
         callers refuse to cache (or seal) the handle.
         """
         raw = plan.lower()
@@ -624,11 +627,10 @@ class Planner:
                 return optimized, cert, True
         except SemanticValidationError as exc:
             cert = exc.certificate
-        telemetry.count("planner.semantic.rejected")
-        with self._lock:
-            self.semantic_rejections += 1
         blame = getattr(cert, "blame", None) or "<pipeline>"
-        telemetry.count("planner.semantic.rejected." + blame)
+        self._metrics.counter(
+            "planner_semantic_rejections_total", blame=blame
+        ).inc()
         # Fall back to the raw program — still proved against the
         # requested permutation, because an unproven optimization must
         # degrade to slower, never to wrong.
@@ -701,10 +703,12 @@ class Planner:
     def stats(self) -> dict:
         """Merged hit/miss/eviction counters across all tiers."""
         merged = {
-            "cold_plans": self.plans,
-            "shard_plans": self.shard_plans,
-            "sealed_plans": self.sealed_plans,
-            "semantic_rejections": self.semantic_rejections,
+            "cold_plans": self._cold_plans.value,
+            "shard_plans": self._shard_plans.value,
+            "sealed_plans": self._sealed_plans.value,
+            "semantic_rejections": self._metrics.total(
+                "planner_semantic_rejections_total"
+            ),
         }
         merged.update(self.memory.stats())
         if self.disk is not None:

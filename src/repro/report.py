@@ -561,7 +561,7 @@ def run_report() -> tuple[str, bool]:
     all_ok = True
     tracer = telemetry.Tracer()
     timings: list[tuple[str, float]] = []
-    with telemetry.use_tracer(tracer):
+    with telemetry.use_tracer(tracer), telemetry.counting() as counts:
         for label, check in _CHECKS:
             with telemetry.span("report.check", check=label) as sp:
                 try:
@@ -580,7 +580,7 @@ def run_report() -> tuple[str, bool]:
     slow_label, slow_ms = max(timings, key=lambda item: item[1])
     total_ms = sum(ms for _label, ms in timings)
     counters = ", ".join(
-        f"{name}={value:g}" for name, value in sorted(tracer.counters.items())
+        f"{name}={value:g}" for name, value in sorted(counts.items())
     )
     lines.append("")
     lines.append(

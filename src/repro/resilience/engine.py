@@ -128,11 +128,12 @@ class ResilientPermutation:
 
             self._digest = permutation_digest(self.p)
         self.report = FailureReport(chain=tuple(chain))
-        # A private tracer records every attempt/backoff span so the
-        # FailureReport embeds the telemetry even when no process-wide
-        # tracer is active; the same spans/counters are mirrored to the
-        # global tracer (prefixed ``resilience.``) when one is.
+        # A private tracer and registry record every attempt/backoff
+        # span and chain event, so the FailureReport embeds them even
+        # when no process-wide tracer is active (spans are mirrored to
+        # it, prefixed ``resilience.``, when one is).
         self._tracer = telemetry.Tracer()
+        self.metrics = telemetry.MetricsRegistry()
         if _preload_failure is not None:
             self.report.record("load", "plan-file", 1, _preload_failure,
                                retried=False)
@@ -185,10 +186,9 @@ class ResilientPermutation:
     # Planning with retry + fallback
     # ------------------------------------------------------------------
 
-    def _count(self, name: str, n: float = 1) -> None:
-        """Count on the private tracer and mirror to the global one."""
-        self._tracer.count(f"resilience.{name}", n)
-        telemetry.count(f"resilience.{name}", n)
+    def _count(self, name: str) -> None:
+        """Count one chain event as ``resilience_<name>_total``."""
+        self.metrics.counter(f"resilience_{name}_total").inc()
 
     def _plan_chain(self, backend, chain, max_attempts, backoff_base):
         try:
@@ -207,7 +207,11 @@ class ResilientPermutation:
             # Embed the telemetry of the whole planning run (spans for
             # every attempt and backoff, plus counters) in the report.
             self.report.spans = list(self._tracer.spans)
-            self.report.counters = dict(self._tracer.counters)
+            self.report.counters = {
+                series: value
+                for series, value in self.metrics.counter_values().items()
+                if value
+            }
 
     def _plan_engine(self, name, backend, max_attempts,
                      backoff_base) -> bool:

@@ -67,8 +67,9 @@ class FailureReport:
     planning run: ``spans`` is the finished
     :class:`~repro.telemetry.tracer.Span` tree of every engine attempt
     and backoff (wall-clock, with ``outcome`` attributes) and
-    ``counters`` the matching totals (``resilience.retries``,
-    ``resilience.fallbacks``, ...) — so a degraded run shows not just
+    ``counters`` the matching totals, read from the run's own
+    registry (``resilience_retries_total``,
+    ``resilience_fallbacks_total``, ...) — so a degraded run shows not just
     *what* failed but *where the time went* while absorbing it.
     """
 

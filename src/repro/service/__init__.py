@@ -5,11 +5,11 @@ fault-tolerant concurrent serving core.
 compile-once/apply-many stack: you *register* named permutations,
 optionally *warm* the cache up front, then *serve* single or batched
 applies; every request after the first for a given name is pure apply
-time.  Hit/miss/eviction counters flow through both the planner's
-plain integers and the telemetry subsystem, so an operator can watch
-cache behaviour with an active tracer or via
+time.  Every counter — request and cache hit/miss/eviction alike —
+lives in the planner's :class:`~repro.telemetry.MetricsRegistry`
+(:attr:`PermutationService.metrics`), read back by
 :meth:`PermutationService.stats`.  The service is thread-safe: its
-counters and registry are lock-guarded, so many callers can share one
+registrations are lock-guarded, so many callers can share one
 instance.
 
 :class:`PermutationServer` (:mod:`repro.service.server`) wraps a
@@ -47,6 +47,7 @@ from repro.planner import (
     Planner,
     permutation_digest,
 )
+from repro.telemetry import MetricsRegistry
 from repro.util.validation import check_permutation
 
 __all__ = [
@@ -88,6 +89,10 @@ class PermutationService:
     cache_size / cache_dir / backend:
         Forwarded to the owned :class:`~repro.planner.Planner` (unless
         an explicit ``planner`` is supplied, which takes precedence).
+
+    Counters and the executor metrics (``exec_apply_seconds`` and the
+    measured-vs-model ``exec_seconds_per_round`` gauge, per engine)
+    are recorded in the planner's registry, :attr:`metrics`.
     """
 
     def __init__(
@@ -97,7 +102,6 @@ class PermutationService:
         cache_dir: str | Path | None = None,
         backend: str = "auto",
         planner: Planner | None = None,
-        metrics: Any | None = None,
         cache_max_bytes: int | None = None,
         disk_max_bytes: int | None = None,
     ) -> None:
@@ -107,22 +111,21 @@ class PermutationService:
             backend=backend, cache_max_bytes=cache_max_bytes,
             disk_max_bytes=disk_max_bytes,
         )
-        #: Optional :class:`~repro.telemetry.MetricsRegistry` shared
-        #: with the owned planner; when set, every apply records
-        #: ``exec_apply_seconds`` and the measured-vs-model
-        #: ``exec_seconds_per_round`` gauge (wall time divided by the
-        #: annotate-cost pass's ``predicted_rounds``), per engine.
-        self.metrics = metrics
-        if metrics is not None and self.planner.metrics is None:
-            self.planner.metrics = metrics
         self._registry: dict[str, _Registration] = {}
-        # Guards the registry and the plain-int request counters:
-        # concurrent server workers increment them on every call, and
-        # unlocked ``x += 1`` loses updates.
         self._lock = threading.Lock()
-        self.requests = 0
-        self.elements_served = 0
-        self.reregistrations = 0
+        metrics = self.planner.metrics
+        self._requests = metrics.counter("service_requests_total")
+        self._elements = metrics.counter(
+            "service_elements_served_total"
+        )
+        self._reregistrations = metrics.counter(
+            "service_reregistrations_total"
+        )
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The planner's registry, which this service records into."""
+        return self.planner.metrics
 
     # ------------------------------------------------------------------
     # Registration
@@ -149,7 +152,7 @@ class PermutationService:
         race on registration safely.  Replacing a name with a
         *different* permutation or engine silently would repoint every
         live caller — that requires ``overwrite=True`` and is counted
-        as ``service.reregistered``; without it the call raises
+        in ``stats()["reregistrations"]``; without it the call raises
         :class:`~repro.errors.ValidationError`.
         """
         if not name:
@@ -173,13 +176,11 @@ class PermutationService:
                         "overwrite=True to replace it"
                     )
                 reregistered = True
-                self.reregistrations += 1
             self._registry[name] = _Registration(
                 name=name, p=arr, engine=chosen, digest=digest
             )
-        telemetry.count("service.registered")
         if reregistered:
-            telemetry.count("service.reregistered")
+            self._reregistrations.inc()
         return self.planner.fingerprint(
             arr, engine=chosen, width=self.width, digest=digest
         )
@@ -249,8 +250,6 @@ class PermutationService:
         predicted rounds from the sealed meta — observation never
         forces a lazy handle to rehydrate its full program.
         """
-        if self.metrics is None:
-            return
         if compiled.sealed is not None and mode in ("single", "batch"):
             mode = "sealed"
         engine = compiled.engine_name or "unknown"
@@ -272,10 +271,7 @@ class PermutationService:
         out = compiled.apply(a)
         self._observe_apply(compiled, time.perf_counter() - t0,
                             "single")
-        with self._lock:
-            self.requests += 1
-            self.elements_served += int(compiled.n)
-        telemetry.count("service.requests")
+        self._served(1, int(compiled.n))
         return out
 
     def apply_batch(
@@ -288,10 +284,7 @@ class PermutationService:
         self._observe_apply(compiled, time.perf_counter() - t0,
                             "batch")
         k = int(np.asarray(batch).shape[0])
-        with self._lock:
-            self.requests += k
-            self.elements_served += k * int(compiled.n)
-        telemetry.count("service.requests", k)
+        self._served(k, k * int(compiled.n))
         return out
 
     def apply_stream(
@@ -329,11 +322,12 @@ class PermutationService:
                 peak_resident=stats.peak_resident_total_bytes,
             )
         self._observe_apply(compiled, elapsed, "stream")
-        with self._lock:
-            self.requests += 1
-            self.elements_served += int(compiled.n)
-        telemetry.count("service.requests")
+        self._served(1, int(compiled.n))
         return stats
+
+    def _served(self, requests: int, elements: int) -> None:
+        self._requests.inc(requests)
+        self._elements.inc(elements)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -342,12 +336,13 @@ class PermutationService:
     def stats(self) -> dict:
         """Service counters merged with the planner's cache stats."""
         with self._lock:
-            merged = {
-                "registered": len(self._registry),
-                "requests": self.requests,
-                "elements_served": self.elements_served,
-                "reregistrations": self.reregistrations,
-            }
+            registered = len(self._registry)
+        merged = {
+            "registered": registered,
+            "requests": self._requests.value,
+            "elements_served": self._elements.value,
+            "reregistrations": self._reregistrations.value,
+        }
         merged.update(self.planner.stats())
         return merged
 

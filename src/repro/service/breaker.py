@@ -16,9 +16,11 @@ The breaker is thread-safe, uses an injectable monotonic clock so
 tests can drive the timeout deterministically, and keeps a bounded
 transition history so operators (and the chaos tests) can observe the
 ``closed -> open -> half-open -> closed`` walk after the fact.  Every
-transition is mirrored to telemetry: a ``service.breaker.<name>.open``
-style counter and a ``service.breaker.<name>.state`` gauge
-(0 = closed, 1 = half-open, 2 = open).
+transition is also counted in the process-wide registry, as
+``breaker_transitions_total{breaker=<name>,state=<new state>}``, and
+sets the ``breaker_state{breaker=<name>}`` gauge (0 = closed,
+1 = half-open, 2 = open).  Refusals are counted in
+:meth:`CircuitBreaker.snapshot` (``rejections``).
 """
 
 from __future__ import annotations
@@ -105,10 +107,12 @@ class CircuitBreaker:
         self._state = new_state
         self._transitions.append((self._clock(), old, new_state))
         del self._transitions[:-_HISTORY_LIMIT]
-        telemetry.count(f"service.breaker.{self.name}.{new_state}")
+        telemetry.count(
+            "breaker_transitions_total", breaker=self.name,
+            state=new_state,
+        )
         telemetry.gauge(
-            f"service.breaker.{self.name}.state",
-            _STATE_GAUGE[new_state],
+            "breaker_state", _STATE_GAUGE[new_state], breaker=self.name
         )
 
     def allow(self) -> bool:
@@ -128,9 +132,6 @@ class CircuitBreaker:
                     < self.reset_timeout
                 ):
                     self.rejections += 1
-                    telemetry.count(
-                        f"service.breaker.{self.name}.rejected"
-                    )
                     return False
                 self._transition(HALF_OPEN)
                 self._probes_in_flight = 0
@@ -140,7 +141,6 @@ class CircuitBreaker:
                 self._probes_in_flight += 1
                 return True
             self.rejections += 1
-            telemetry.count(f"service.breaker.{self.name}.rejected")
             return False
 
     def record_success(self) -> None:

@@ -34,10 +34,11 @@ concern the bare facade lacks:
   plan-from-cold) until a half-open probe succeeds.  Breaker state is
   visible in :meth:`PermutationServer.health` and telemetry gauges.
 
-Everything is observable: plain-integer counters via
-:meth:`PermutationServer.stats`, breaker/queue/tenant snapshots via
-:meth:`PermutationServer.health`, and ``server.*`` telemetry counters
-and gauges when a tracer is active.  See ``docs/serving.md``.
+Everything is observable: ``server.*`` event counters in the planner's
+registry, read by :meth:`PermutationServer.stats` and scraped by
+:meth:`PermutationServer.metrics_text`, and breaker/queue/tenant
+snapshots via :meth:`PermutationServer.health`.  See
+``docs/serving.md``.
 
 ::
 
@@ -53,6 +54,7 @@ and gauges when a tracer is active.  See ``docs/serving.md``.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -99,6 +101,34 @@ _PRIORITIES = (HIGH, NORMAL, LOW)
 
 #: Fallback retry-after hint when the server has no latency sample yet.
 _DEFAULT_LATENCY_S = 0.005
+
+#: Every ``server.<event>`` counter, bound at construction as a
+#: ``server_events_total{event=...}`` child.
+_EVENTS = (
+    "accepted", "served", "failed", "shed", "deadline_exceeded",
+    "coalesced", "retries", "faults_absorbed", "degraded",
+    "ladder_exhausted", "self_check_failed", "breaker.engine_skipped",
+    "breaker.all_open", "rejected.rate", "rejected.bulkhead",
+    "rejected.queue_full", "rejected.plan_quota", "stream.accepted",
+    "stream.completed", "stream.stripe_drained",
+)
+
+#: The instantaneous ``stats()`` fields, set as gauges at scrape time.
+_STATE_GAUGES = {
+    "server.queue_depth": ("server_queue_depth", {}),
+    "server.queue_capacity": ("server_queue_capacity", {}),
+    "server.inflight": ("server_inflight", {}),
+    "server.latency_ema_s": ("server_latency_ema_seconds", {}),
+    "registered": ("service_registrations", {}),
+    "memory_capacity": (
+        "planner_cache_capacity_entries", {"tier": "memory"}
+    ),
+    **{
+        f"{tier}_{field}": (f"planner_cache_{field}", {"tier": tier})
+        for tier in ("memory", "disk")
+        for field in ("bytes", "entries", "max_bytes")
+    },
+}
 
 
 class ServeResult:
@@ -314,14 +344,24 @@ class _GuardedDiskCache:
     def __init__(self, inner: Any, breaker: CircuitBreaker) -> None:
         self._inner = inner
         self.breaker = breaker
+        metrics = inner.metrics
+        self._bypassed = metrics.counter("server_disk_bypassed_total")
+        self._store_failed = metrics.counter(
+            "server_disk_store_failed_total"
+        )
+        # The inner cache's own children (same name and labels).
+        self._corrupt = {
+            tier: metrics.counter("planner_cache_corrupt_total", tier=tier)
+            for tier in ("disk", "sealed")
+        }
 
     def load(self, fingerprint: str) -> Any:
         if not self.breaker.allow():
-            telemetry.count("server.disk.bypassed")
+            self._bypassed.inc()
             return None
-        corrupt_before = self._inner.corrupt
+        corrupt_before = self._corrupt["disk"].value
         plan = self._inner.load(fingerprint)
-        if self._inner.corrupt > corrupt_before:
+        if self._corrupt["disk"].value > corrupt_before:
             self.breaker.record_failure()
         elif plan is not None:
             self.breaker.record_success()
@@ -332,7 +372,7 @@ class _GuardedDiskCache:
     ) -> Any:
         path = self._inner.path_for(fingerprint)
         if not self.breaker.allow():
-            telemetry.count("server.disk.bypassed")
+            self._bypassed.inc()
             return path
         try:
             path = self._inner.store(
@@ -342,18 +382,18 @@ class _GuardedDiskCache:
             # A failed persist must not fail the request being served;
             # the plan lives on in the memory tier.
             self.breaker.record_failure()
-            telemetry.count("server.disk.store_failed")
+            self._store_failed.inc()
             return path
         self.breaker.record_success()
         return path
 
     def load_sealed(self, fingerprint: str) -> Any:
         if not self.breaker.allow():
-            telemetry.count("server.disk.bypassed")
+            self._bypassed.inc()
             return None
-        corrupt_before = self._inner.sealed_corrupt
+        corrupt_before = self._corrupt["sealed"].value
         sealed = self._inner.load_sealed(fingerprint)
-        if self._inner.sealed_corrupt > corrupt_before:
+        if self._corrupt["sealed"].value > corrupt_before:
             self.breaker.record_failure()
         elif sealed is not None:
             self.breaker.record_success()
@@ -362,7 +402,7 @@ class _GuardedDiskCache:
     def store_sealed(self, fingerprint: str, sealed: Any) -> Any:
         path = self._inner.sealed_path_for(fingerprint)
         if not self.breaker.allow():
-            telemetry.count("server.disk.bypassed")
+            self._bypassed.inc()
             return path
         try:
             path = self._inner.store_sealed(fingerprint, sealed)
@@ -370,7 +410,7 @@ class _GuardedDiskCache:
             # Same contract as ``store``: a failed sidecar persist
             # never fails the request; the sealed form stays resident.
             self.breaker.record_failure()
-            telemetry.count("server.disk.store_failed")
+            self._store_failed.inc()
             return path
         self.breaker.record_success()
         return path
@@ -410,11 +450,6 @@ class PermutationServer:
     self_check:
         Verify every served output against the definitional scatter
         before delivering it (one extra O(n) pass per request).
-    metrics:
-        A :class:`~repro.telemetry.MetricsRegistry` to record latency
-        histograms and labeled counters into (one is created when
-        omitted); shared with the service and planner so one registry
-        exposes the whole stack.
     slo:
         The :class:`~repro.telemetry.SLO` objectives the built-in
         :class:`~repro.telemetry.SLOMonitor` enforces (defaults are
@@ -453,7 +488,6 @@ class PermutationServer:
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota = UNLIMITED_QUOTA,
         self_check: bool = False,
-        metrics: Any = None,
         slo: Any = None,
         recorder: Any = None,
         postmortem_dir: Any = None,
@@ -500,16 +534,19 @@ class PermutationServer:
         self._size = 0
         self._cond = threading.Condition()
         self._stats_lock = threading.Lock()
-        self._counters: dict[str, int] = {}
+        self._events = {
+            event: self.metrics.counter(
+                "server_events_total", event=event
+            )
+            for event in _EVENTS
+        }
         self._latency_ema = _DEFAULT_LATENCY_S
         self._stopping = False
         self._started = False
         self._threads: list[threading.Thread] = []
         self._engine_breakers: dict[str, CircuitBreaker] = {}
         self.disk_breaker: CircuitBreaker | None = None
-        #: Cross-request observability: labeled instruments, rolling
-        #: SLO compliance, and the failure flight recorder.
-        self.metrics = metrics or telemetry.MetricsRegistry()
+        #: Rolling SLO compliance and the failure flight recorder.
         self.slo_monitor = telemetry.SLOMonitor(
             slo or telemetry.SLO(), clock=clock
         )
@@ -530,13 +567,7 @@ class PermutationServer:
         # In-flight requests by rid (admitted, not yet resolved) —
         # snapshotted into post-mortem bundles.
         self._inflight_reqs: dict[int, dict] = {}
-        # One registry for the whole stack: server request metrics,
-        # service/executor apply metrics, planner tier latencies.
-        if self.service.metrics is None:
-            self.service.metrics = self.metrics
         planner = self.service.planner
-        if planner.metrics is None:
-            planner.metrics = self.metrics
         if planner.disk is not None and not isinstance(
             planner.disk, _GuardedDiskCache
         ):
@@ -550,6 +581,11 @@ class PermutationServer:
             planner.disk = _GuardedDiskCache(
                 planner.disk, self.disk_breaker
             )
+
+    @property
+    def metrics(self) -> telemetry.MetricsRegistry:
+        """The stack's one registry (the planner's, via the service)."""
+        return self.service.metrics
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -600,6 +636,7 @@ class PermutationServer:
                                          "request was served")
                         )
                         dropped.append(req)
+            self._count("failed", len(dropped))
             self._cond.notify_all()
         for req in dropped:
             # Outside the queue lock: finishing a request can trigger
@@ -680,10 +717,9 @@ class PermutationServer:
     # ------------------------------------------------------------------
 
     def _count(self, name: str, n: int = 1) -> None:
+        # Under the stats lock: stats() reads every event at one instant.
         with self._stats_lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-        telemetry.count(f"server.{name}", n)
-        self.metrics.counter("server_events_total", event=name).inc(n)
+            self._events[name].inc(n)
 
     def _active_requests(self) -> list[dict]:
         """Flight-recorder snapshot of every in-flight request."""
@@ -751,36 +787,27 @@ class PermutationServer:
             )
 
     def metrics_text(self) -> str:
-        """The Prometheus exposition for ``/metrics`` (scrape-time
-        gauges — queue depth, SLO compliance — are refreshed here)."""
-        with self._cond:
-            depth = self._size
-        gauges = self.metrics.gauge
-        gauges("server_queue_depth").set(depth)
-        gauges("server_queue_capacity").set(self.queue_capacity)
+        """The Prometheus exposition for ``/metrics``.  State values
+        (the instantaneous ``stats()`` fields, SLO compliance) are set
+        as gauges here, at scrape time."""
+        stats = self.stats()
+        gauge = self.metrics.gauge
+        for key, (name, labels) in _STATE_GAUGES.items():
+            if key in stats:
+                value = stats[key]
+                gauge(name, **labels).set(
+                    math.inf if value is None else value
+                )
+        if "disk_directory" in stats:
+            gauge("planner_cache_directory_info",
+                  directory=stats["disk_directory"]).set(1)
         status = self.slo_monitor.status()
-        gauges("slo_availability").set(status["availability"])
-        gauges("slo_latency_p99_seconds").set(status["p99_s"])
-        gauges("slo_burn_rate").set(min(status["burn_rate"], 1e9))
-        gauges("slo_breached").set(1.0 if status["breached"] else 0.0)
-        gauges("recorder_events_total").set(self.recorder.recorded)
-        gauges("recorder_dumps_total").set(self.recorder.dumps)
-        planner = self.service.planner
-        pstats = planner.stats()
-        gauges("planner_memory_bytes").set(
-            pstats.get("memory_bytes", 0)
-        )
-        gauges("planner_sealed_plans_total").set(
-            pstats.get("sealed_plans", 0)
-        )
-        if "disk_bytes" in pstats:
-            gauges("planner_disk_bytes").set(pstats["disk_bytes"])
-            gauges("planner_disk_evictions_total").set(
-                pstats.get("disk_evictions", 0)
-            )
-            gauges("planner_sealed_hits_total").set(
-                pstats.get("sealed_hits", 0)
-            )
+        gauge("slo_availability").set(status["availability"])
+        gauge("slo_latency_p99_seconds").set(status["p99_s"])
+        gauge("slo_burn_rate").set(min(status["burn_rate"], 1e9))
+        gauge("slo_breached").set(1.0 if status["breached"] else 0.0)
+        gauge("recorder_events_total").set(self.recorder.recorded)
+        gauge("recorder_dumps_total").set(self.recorder.dumps)
         return self.metrics.prometheus_text()
 
     def _retry_after(self) -> float:
@@ -912,7 +939,6 @@ class PermutationServer:
                 self._size += 1
                 state.inflight += 1
                 self._count("accepted")
-                telemetry.gauge("server.queue.depth", self._size)
                 self._cond.notify()
         except (QuotaExceededError, ServiceOverloadError,
                 ServingError) as exc:
@@ -1064,7 +1090,6 @@ class PermutationServer:
                 state.inflight += len(requests)
                 self._count("accepted")
                 self._count("stream.accepted")
-                telemetry.gauge("server.queue.depth", self._size)
                 self._cond.notify_all()
         except (QuotaExceededError, ServiceOverloadError,
                 ServingError) as exc:
@@ -1111,7 +1136,6 @@ class PermutationServer:
                 if self._size == 0 and self._stopping:
                     return
                 group = self._take_group()
-                telemetry.gauge("server.queue.depth", self._size)
             try:
                 self._dispatch(group)
             finally:
@@ -1208,7 +1232,12 @@ class PermutationServer:
         except Exception as exc:
             # Catch everything: an escaped exception would kill the
             # worker thread and leave every queued future unresolved.
-            self._count("failed")
+            # Each request resolves once, expired or failed.
+            self._count(
+                "deadline_exceeded"
+                if isinstance(exc, DeadlineExceededError) else "failed",
+                len(live),
+            )
             engine = leader.result.engine
             for req in live:
                 req.result._fail(exc)
@@ -1287,7 +1316,6 @@ class PermutationServer:
             for attempt in range(1, self.max_attempts + 1):
                 if deadline is not None and \
                         self._clock() >= deadline:
-                    self._count("deadline_exceeded", len(group))
                     raise DeadlineExceededError(
                         "deadline expired while retrying "
                         f"(engine {engine!r}, attempt {attempt})"
@@ -1414,7 +1442,6 @@ class PermutationServer:
                 key, group[0].payload, engine=engine
             )
         stacked = np.stack([req.payload for req in group])
-        self._count("coalesced", len(group) - 1)
         return self.service.apply_batch(key, stacked, engine=engine)
 
     def _deliver(
@@ -1442,6 +1469,8 @@ class PermutationServer:
                         "(caught by the server self-check)"
                     )
         coalesced = len(group) > 1
+        if coalesced:
+            self._count("coalesced", len(group) - 1)
         for i, req in enumerate(group):
             req.result.engine = engine
             req.result.attempts = attempts
@@ -1481,12 +1510,16 @@ class PermutationServer:
         """
         with self._cond:
             with self._stats_lock:
-                counters = dict(self._counters)
+                counters = {
+                    event: child.value
+                    for event, child in self._events.items()
+                }
                 ema = self._latency_ema
                 inflight = len(self._inflight_reqs)
             depth = self._size
+        # An event appears once it has happened at least once.
         merged: dict = {
-            f"server.{k}": v for k, v in counters.items()
+            f"server.{k}": v for k, v in counters.items() if v
         }
         merged["server.latency_ema_s"] = ema
         merged["server.queue_depth"] = depth

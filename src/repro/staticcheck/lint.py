@@ -15,7 +15,8 @@ checks encode them:
 
 ``REP102`` **unguarded telemetry** — library code must emit telemetry
     through the module-level ``telemetry.span()/count()/gauge()``
-    helpers (no-ops when no tracer is active), never by instantiating
+    helpers (spans are no-ops when no tracer is active; counts land in
+    the always-on process registry), never by instantiating
     :class:`repro.telemetry.Tracer` itself or importing the tracer
     internals.  Entry points that legitimately *own* a tracer (the CLI,
     the report runner, the resilience engine) are allowlisted.  Also

@@ -4,15 +4,14 @@ The observability layer of the reproduction, in four tiers:
 
 * **tracer** (:class:`Tracer`) — nestable wall-clock spans with
   thread-local nesting, cross-thread hand-off (:func:`begin_span` /
-  :func:`end_span` / :func:`request_scope`), monotonic counters and
-  gauges, pluggable sinks (in-memory, JSONL) and exporters (Chrome
-  ``trace_event`` JSON, Prometheus text);
+  :func:`end_span` / :func:`request_scope`), pluggable sinks
+  (in-memory, JSONL) and the Chrome ``trace_event`` exporter;
 * **request context** (:class:`RequestContext`) — the identity one
   serving request carries across threads; while bound, module-level
   :func:`span` tags every span with the ``request_id``;
-* **metrics** (:class:`MetricsRegistry`) — labeled counters, gauges
-  and log-bucketed mergeable :class:`Histogram` instruments for
-  cross-request distributions (p50/p99/p999), exposable over HTTP
+* **metrics** (:class:`MetricsRegistry`) — the one counter store:
+  labeled counters, gauges and log-bucketed mergeable
+  :class:`Histogram` instruments, exposable over HTTP
   (:class:`MetricsHTTPServer`) and renderable as a terminal dashboard
   (:func:`render_dashboard`, ``repro top``);
 * **SLO + flight recorder** (:class:`SLOMonitor`,
@@ -23,20 +22,21 @@ The observability layer of the reproduction, in four tiers:
 See ``docs/observability.md``.
 
 Instrumented library code calls the *module-level* :func:`span`,
-:func:`count` and :func:`gauge`, which dispatch to the process-wide
-active tracer.  By default there is **no** active tracer and each call
-reduces to one guarded attribute check returning a shared no-op span —
-the hot path stays effectively uninstrumented until someone opts in:
+which dispatches to the process-wide active tracer; with none (the
+default) each call returns a shared no-op span.  Counts are always on:
+:func:`count` and :func:`gauge` write to the process-wide
+:data:`REGISTRY` (components with a ``stats()`` view use their
+planner's registry), and :func:`counting` reads what a block moved:
 
 >>> from repro import telemetry
 >>> tracer = telemetry.Tracer()
->>> with telemetry.use_tracer(tracer):
+>>> with telemetry.use_tracer(tracer), telemetry.counting() as counts:
 ...     with telemetry.span("phase", n=64) as sp:
-...         telemetry.count("things.done")
+...         telemetry.count("things_done_total")
 >>> [s.name for s in tracer.spans]
 ['phase']
->>> tracer.counters
-{'things.done': 1}
+>>> counts
+{'things_done_total': 1}
 
 ``python -m repro profile <perm>`` wires this up end to end and writes
 the exportable artefacts; ``python -m repro serve-demo --concurrent``
@@ -57,7 +57,6 @@ from repro.telemetry.dashboard import histogram_series, render_dashboard
 from repro.telemetry.export import (
     chrome_trace,
     parse_prometheus_text,
-    prometheus_text,
     render_span_tree,
     validate_chrome_trace,
     validate_prometheus_text,
@@ -83,8 +82,12 @@ from repro.telemetry.sinks import (
 from repro.telemetry.slo import SLO, SLOMonitor
 from repro.telemetry.tracer import NULL_SPAN, NullSpan, Span, Tracer
 
-#: The process-wide active tracer; ``None`` means telemetry is off.
+#: The process-wide active tracer; ``None`` means tracing is off.
 _ACTIVE: Tracer | None = None
+
+#: The process-wide registry behind :func:`count` and :func:`gauge`
+#: (always on).
+REGISTRY = MetricsRegistry()
 
 
 def get_tracer() -> Tracer | None:
@@ -178,18 +181,39 @@ def request_scope(ctx: RequestContext | None):
             yield ctx
 
 
-def count(name: str, n: float = 1) -> None:
-    """Increment a counter on the active tracer (no-op when inactive)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.count(name, n)
+#: :func:`count` binds each unlabeled child once and reuses it, so an
+#: unlabeled site costs one dict hit plus the locked increment.
+_UNLABELED: dict[str, Counter] = {}
 
 
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the active tracer (no-op when inactive)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.gauge(name, value)
+def count(name: str, n: float = 1, **labels) -> None:
+    """Increment counter ``name{labels}`` in :data:`REGISTRY`."""
+    child = None if labels else _UNLABELED.get(name)
+    if child is None:
+        child = REGISTRY.counter(name, **labels)
+        if not labels:
+            _UNLABELED[name] = child
+    child.inc(n)
+
+
+def gauge(name: str, value: float, **labels) -> None:
+    """Set gauge ``name{labels}`` in :data:`REGISTRY`."""
+    REGISTRY.gauge(name, **labels).set(value)
+
+
+@contextmanager
+def counting():
+    """Yield a dict that, once the ``with`` block exits, maps every
+    :data:`REGISTRY` counter series the block moved to its increment."""
+    deltas: dict[str, float] = {}
+    before = REGISTRY.counter_values()
+    try:
+        yield deltas
+    finally:
+        for series, value in REGISTRY.counter_values().items():
+            moved = value - before.get(series, 0)
+            if moved:
+                deltas[series] = moved
 
 
 __all__ = [
@@ -203,6 +227,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "NullSpan",
+    "REGISTRY",
     "RequestContext",
     "SLO",
     "SLOMonitor",
@@ -212,13 +237,13 @@ __all__ = [
     "begin_span",
     "chrome_trace",
     "count",
+    "counting",
     "current_context",
     "end_span",
     "gauge",
     "get_tracer",
     "histogram_series",
     "parse_prometheus_text",
-    "prometheus_text",
     "quantile_from_buckets",
     "read_jsonl",
     "render_dashboard",

@@ -1,18 +1,18 @@
 """Exporters over a finished :class:`~repro.telemetry.tracer.Tracer`.
 
 * :func:`chrome_trace` — the Chrome ``trace_event`` JSON object format
-  (a ``traceEvents`` list of complete ``"X"`` span events plus ``"C"``
-  counter samples), loadable directly in ``chrome://tracing`` or
+  (a ``traceEvents`` list of complete ``"X"`` span events plus ``"M"``
+  metadata), loadable directly in ``chrome://tracing`` or
   https://ui.perfetto.dev; spans render one track per recording
   thread (``tid``), so a concurrent serve shows client, worker and
   scrape threads side by side;
 * :func:`validate_chrome_trace` — a structural validator for that
   format, shared by the test suite and the CI smoke job;
-* :func:`prometheus_text` — Prometheus text exposition (``# TYPE``
-  lines + samples) of the counters and gauges;
 * :func:`parse_prometheus_text` / :func:`validate_prometheus_text` —
   parser and structural validator for the exposition format (used by
-  the ``repro top`` dashboard and the observability CI smoke);
+  the ``repro top`` dashboard and the observability CI smoke) of
+  :meth:`MetricsRegistry.prometheus_text
+  <repro.telemetry.metrics.MetricsRegistry.prometheus_text>`;
 * :func:`render_span_tree` — indented human-readable tree with
   durations and attributes, used by ``repro profile`` and the
   resilience :class:`~repro.resilience.reporting.FailureReport`.
@@ -29,12 +29,11 @@ from repro.telemetry.sinks import _jsonable
 from repro.telemetry.tracer import Span, Tracer
 
 #: Chrome trace-event phases this library emits.
-_EMITTED_PHASES = ("X", "C", "M")
+_EMITTED_PHASES = ("X", "M")
 
 
 def _base_ns(tracer: Tracer) -> int:
     starts = [s.start_ns for s in tracer.spans]
-    starts.extend(t for t, _n, _d, _t in tracer.counter_events)
     return min(starts) if starts else tracer.created_ns
 
 
@@ -54,9 +53,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
     Spans become complete (``"X"``) events with microsecond ``ts``
     (relative to the first event) and ``dur``; span attributes travel in
     ``args``.  Each recording thread becomes its own ``tid`` track
-    (named via ``thread_name`` metadata).  Counter totals become
-    ``"C"`` events at each increment, so Perfetto plots them as a time
-    series.
+    (named via ``thread_name`` metadata).
     """
     base = _base_ns(tracer)
     tids = _tid_map(tracer)
@@ -92,16 +89,6 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
             "pid": 1,
             "tid": tids.get(span.tid, 1),
             "args": args,
-        })
-    for t_ns, name, _delta, total in tracer.counter_events:
-        events.append({
-            "name": name,
-            "cat": "repro",
-            "ph": "C",
-            "ts": (t_ns - base) / 1000.0,
-            "pid": 1,
-            "tid": 1,
-            "args": {"value": total},
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -222,42 +209,6 @@ def write_chrome_trace(tracer: Tracer, path,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
     return obj
-
-
-_METRIC_NAME = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _metric_name(name: str) -> str:
-    sanitized = _METRIC_NAME.sub("_", name)
-    if not sanitized or not (sanitized[0].isalpha() or sanitized[0] == "_"):
-        sanitized = "_" + sanitized
-    return f"repro_{sanitized}"
-
-
-def prometheus_text(tracer: Tracer) -> str:
-    """Prometheus text exposition of the tracer's counters and gauges.
-
-    Counter names additionally get the conventional ``_total`` suffix.
-    Span durations are summarised as one gauge per span name
-    (``repro_span_<name>_ms_sum``) so phase times are scrapeable too.
-    """
-    lines: list[str] = []
-    for name in sorted(tracer.counters):
-        metric = _metric_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {tracer.counters[name]:g}")
-    for name in sorted(tracer.gauges):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {tracer.gauges[name]:g}")
-    durations: dict[str, float] = {}
-    for span in tracer.spans:
-        durations[span.name] = durations.get(span.name, 0.0) + span.duration_ms
-    for name in sorted(durations):
-        metric = _metric_name(f"span.{name}.ms") + "_sum"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {durations[name]:g}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 #: ``name{labels} value`` sample line (exposition format 0.0.4).

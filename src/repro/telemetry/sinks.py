@@ -1,20 +1,19 @@
 """Pluggable telemetry sinks.
 
-A sink receives every finished span and every counter/gauge update from
-a :class:`~repro.telemetry.tracer.Tracer` the moment it happens.  Two
+A sink receives every finished span from a
+:class:`~repro.telemetry.tracer.Tracer` the moment it happens.  Two
 concrete sinks ship with the library:
 
-* :class:`InMemorySink` — collects events into plain lists (the tracer
-  itself already aggregates; this sink additionally preserves the raw
-  interleaved event stream);
+* :class:`InMemorySink` — collects span events into a plain list in
+  completion order;
 * :class:`JsonlSink` — appends one JSON object per event to a file,
   giving a durable, grep-able, streaming event log
   (``repro profile --events-out events.jsonl``).  Read it back with
   :func:`read_jsonl`.
 
-Exporters that need the *whole* run (Chrome ``trace_event`` JSON,
-Prometheus text exposition) live in :mod:`repro.telemetry.export` and
-operate on a finished tracer instead.
+Exporters that need the *whole* run (Chrome ``trace_event`` JSON) live
+in :mod:`repro.telemetry.export` and operate on a finished tracer
+instead.
 """
 
 from __future__ import annotations
@@ -55,35 +54,20 @@ def span_event(span: Span) -> dict:
 
 
 class Sink:
-    """Base sink: every callback is optional (default no-op)."""
+    """Base sink (default no-op)."""
 
     def on_span(self, span: Span) -> None:
         pass
 
-    def on_counter(self, t_ns: int, name: str, delta: float,
-                   total: float) -> None:
-        pass
-
-    def on_gauge(self, t_ns: int, name: str, value: float) -> None:
-        pass
-
 
 class InMemorySink(Sink):
-    """Preserves the raw interleaved event stream in order."""
+    """Preserves the span event stream in completion order."""
 
     def __init__(self) -> None:
         self.events: list[dict] = []
 
     def on_span(self, span: Span) -> None:
         self.events.append(span_event(span))
-
-    def on_counter(self, t_ns, name, delta, total) -> None:
-        self.events.append({"type": "counter", "t_ns": t_ns, "name": name,
-                            "delta": delta, "total": total})
-
-    def on_gauge(self, t_ns, name, value) -> None:
-        self.events.append({"type": "gauge", "t_ns": t_ns, "name": name,
-                            "value": value})
 
 
 class JsonlSink(Sink):
@@ -93,19 +77,14 @@ class JsonlSink(Sink):
         self.path = Path(path)
         self._fh = open(self.path, "w", encoding="utf-8")
 
-    def _write(self, event: dict) -> None:
+    def write(self, event: dict) -> None:
+        """Append one JSON-safe event (spans arrive via :meth:`on_span`;
+        callers append others, e.g. ``repro profile``'s counter
+        deltas)."""
         self._fh.write(json.dumps(event) + "\n")
 
     def on_span(self, span: Span) -> None:
-        self._write(span_event(span))
-
-    def on_counter(self, t_ns, name, delta, total) -> None:
-        self._write({"type": "counter", "t_ns": t_ns, "name": name,
-                     "delta": delta, "total": total})
-
-    def on_gauge(self, t_ns, name, value) -> None:
-        self._write({"type": "gauge", "t_ns": t_ns, "name": name,
-                     "value": value})
+        self.write(span_event(span))
 
     def close(self) -> None:
         if not self._fh.closed:

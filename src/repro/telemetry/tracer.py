@@ -1,18 +1,14 @@
-"""Structured spans, counters and gauges — the telemetry core.
+"""Structured spans — the tracing core.
 
-A :class:`Tracer` records three kinds of signal:
-
-* **spans** — nestable wall-clock intervals with attributes, opened
-  with ``with tracer.span("coloring.euler", edges=n):``.  Nesting is
-  tracked with a **thread-local** stack, so every finished
-  :class:`Span` knows its parent and depth and the whole run renders
-  as a tree (or exports to Chrome ``trace_event`` JSON, see
-  :mod:`repro.telemetry.export`) even when many threads record spans
-  concurrently;
-* **counters** — monotonically increasing totals (rows coloured,
-  fallback activations, fault detections);
-* **gauges** — last-value-wins measurements (plan bytes, overhead
-  fractions).
+A :class:`Tracer` records **spans**: nestable wall-clock intervals
+with attributes, opened with ``with tracer.span("coloring.euler",
+edges=n):``.  Nesting is tracked with a **thread-local** stack, so
+every finished :class:`Span` knows its parent and depth and the whole
+run renders as a tree (or exports to Chrome ``trace_event`` JSON, see
+:mod:`repro.telemetry.export`) even when many threads record spans
+concurrently.  Counts are not the tracer's job: they live in a
+:class:`~repro.telemetry.metrics.MetricsRegistry`, which works with or
+without a tracer.
 
 Cross-thread requests (a serving request is admitted on the client
 thread and executed on a worker thread) are supported by three
@@ -133,17 +129,16 @@ class Tracer:
     """In-memory telemetry collector with optional streaming sinks.
 
     Thread-safe: span nesting is tracked per thread (thread-local
-    stacks), span-id allocation and the finished-span list are
-    lock-guarded, and counters/gauges take the same metrics lock, so
-    concurrent server workers can record freely without corrupting
-    each other's parent/child trees.
+    stacks) and span-id allocation and the finished-span list are
+    lock-guarded, so concurrent server workers can record freely
+    without corrupting each other's parent/child trees.
 
     Parameters
     ----------
     sinks:
         Iterable of :class:`~repro.telemetry.sinks.Sink` objects that
-        receive every finished span and every counter/gauge update as
-        it happens (the tracer itself always collects in memory).
+        receive every finished span as it happens (the tracer itself
+        always collects in memory).
     clock:
         Nanosecond monotonic clock; injectable for deterministic tests.
     """
@@ -156,21 +151,10 @@ class Tracer:
         # Guards id allocation, the finished-span list and sink
         # dispatch: spans finish concurrently on worker threads.
         self._span_lock = threading.Lock()
-        # Counters and gauges are incremented from server worker
-        # threads; a read-modify-write without the lock loses updates.
-        self._metrics_lock = threading.Lock()
         self.created_ns = clock()
         #: Finished spans in completion order (children before parents
         #: within a thread; interleaved across threads).
         self.spans: list[Span] = []
-        #: Counter totals by name.
-        self.counters: dict[str, float] = {}
-        #: Last gauge value by name.
-        self.gauges: dict[str, float] = {}
-        #: Counter increments as ``(t_ns, name, delta, total)``.
-        self.counter_events: list[tuple[int, str, float, float]] = []
-        #: Gauge updates as ``(t_ns, name, value)``.
-        self.gauge_events: list[tuple[int, str, float]] = []
 
     # ------------------------------------------------------------------
     # Spans
@@ -267,33 +251,6 @@ class Tracer:
         return _Adoption(self, span)
 
     # ------------------------------------------------------------------
-    # Counters and gauges
-    # ------------------------------------------------------------------
-
-    def count(self, name: str, n: float = 1) -> float:
-        """Increment counter ``name`` by ``n``; returns the new total.
-
-        Thread-safe: concurrent increments never lose updates.
-        """
-        with self._metrics_lock:
-            total = self.counters.get(name, 0) + n
-            self.counters[name] = total
-            t = self._clock()
-            self.counter_events.append((t, name, n, total))
-        for sink in self.sinks:
-            sink.on_counter(t, name, n, total)
-        return total
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._metrics_lock:
-            self.gauges[name] = value
-            t = self._clock()
-            self.gauge_events.append((t, name, value))
-        for sink in self.sinks:
-            sink.on_gauge(t, name, value)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -316,9 +273,7 @@ class Tracer:
         return [s for s in self.spans if s.name == name]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Tracer({len(self.spans)} spans, "
-                f"{len(self.counters)} counters, "
-                f"{len(self.gauges)} gauges)")
+        return f"Tracer({len(self.spans)} spans)"
 
 
 class _Adoption:

@@ -4,7 +4,6 @@ corruption handling, and the CompiledPermutation contract."""
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.errors import ValidationError
 from repro.planner import (
     CompiledPermutation,
@@ -153,14 +152,13 @@ class TestPlanner:
 
     def test_telemetry_counters_emitted(self, tmp_path):
         p = bit_reversal(_N)
-        tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
-            planner = Planner(cache_dir=tmp_path)
-            planner.compile(p, width=_WIDTH)
-            planner.compile(p, width=_WIDTH)
-        assert tracer.counters["planner.planned"] == 1
-        assert tracer.counters["planner.cache.hit.memory"] == 1
-        assert tracer.counters["planner.cache.store.disk"] == 1
+        planner = Planner(cache_dir=tmp_path)
+        planner.compile(p, width=_WIDTH)
+        planner.compile(p, width=_WIDTH)
+        counters = planner.metrics.counter_values()
+        assert counters["planner_cold_plans_total"] == 1
+        assert counters['planner_cache_hits_total{tier="memory"}'] == 1
+        assert counters['planner_cache_stores_total{tier="disk"}'] == 1
 
     def test_warm_from_disk(self, tmp_path):
         p = bit_reversal(_N)
@@ -300,10 +298,7 @@ class TestSemanticRejection:
     def test_fallback_serves_raw_program_correctly(self):
         p = random_permutation(_N, seed=9)
         planner = Planner(pipeline=self._broken_pipeline())
-        tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
-            compiled = planner.compile(p, engine="scheduled",
-                                       width=_WIDTH)
+        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
         a = np.random.default_rng(1).random(_N).astype(np.float32)
         np.testing.assert_array_equal(compiled.apply(a),
                                       _expected(p, a))
@@ -311,9 +306,9 @@ class TestSemanticRejection:
         cert = compiled.semantic_certificate
         assert cert is not None and cert.ok   # the *fallback* proof
         assert planner.stats()["semantic_rejections"] == 1
-        assert tracer.counters["planner.semantic.rejected"] == 1
-        assert tracer.counters[
-            "planner.semantic.rejected.swap-two"] == 1
+        counters = planner.metrics.counter_values()
+        assert counters[
+            'planner_semantic_rejections_total{blame="swap-two"}'] == 1
 
     def test_unproven_handle_not_cached(self):
         p = random_permutation(_N, seed=9)

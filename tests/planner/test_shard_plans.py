@@ -74,14 +74,14 @@ class TestPlannerCompileSharded:
             p, 4, engine="d-designated", width=WIDTH
         )
         assert sharded.proven and sharded.d == 4
-        assert planner.shard_plans == 1
+        assert planner.stats()["shard_plans"] == 1
         again, sharded2 = planner.compile_sharded(
             p, 4, engine="d-designated", width=WIDTH
         )
         assert again is compiled and sharded2 is sharded
-        assert planner.shard_plans == 1
+        assert planner.stats()["shard_plans"] == 1
         planner.compile_sharded(p, 8, engine="d-designated", width=WIDTH)
-        assert planner.shard_plans == 2
+        assert planner.stats()["shard_plans"] == 2
 
 
 class TestServiceApplyStream:
@@ -91,11 +91,11 @@ class TestServiceApplyStream:
         service.register("bitrev", p)
         src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
         a = _payload(src)
-        before = service.requests
+        before = service.stats()["requests"]
         stats = service.apply_stream(
             "bitrev", src, dst, d=4, max_resident_bytes=64 * 1024,
             tmp_dir=tmp_path,
         )
         assert np.array_equal(np.load(dst), _expected(p, a))
         assert stats.d == 4
-        assert service.requests == before + 1
+        assert service.stats()["requests"] == before + 1

@@ -363,6 +363,115 @@ class TestResilience:
         srv.close()
 
 
+def _run_queue(srv):
+    """Serve everything queued on the calling thread, group by group —
+    one worker, deterministic coalescing."""
+    while True:
+        with srv._cond:
+            if srv._size == 0:
+                return
+            group = srv._take_group()
+        srv._dispatch(group)
+
+
+def _resolved(stats):
+    return sum(stats.get(f"server.{k}", 0) for k in (
+        "served", "failed", "shed", "deadline_exceeded",
+    ))
+
+
+class TestRequestAccounting:
+    """At quiescence every accepted request resolved exactly once:
+    ``accepted == served + failed + shed + deadline_exceeded``."""
+
+    def _server(self, fake_clock, **kwargs):
+        kwargs.setdefault("backoff_base", 0.0)
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1,
+            clock=fake_clock, sleep=fake_clock.sleep, **kwargs,
+        ))
+        srv.register("bitrev", bit_reversal(_N))
+        return srv
+
+    def test_coalesced_failing_group(self, fake_clock):
+        srv = self._server(fake_clock, max_attempts=1)
+
+        def doomed(name, a, engine=None):
+            raise SharedMemoryCapacityError("injected")
+
+        srv.service.apply = srv.service.apply_batch = doomed
+        futures = [srv.submit("bitrev", np.arange(_N) + i)
+                   for i in range(5)]
+        _run_queue(srv)
+        for fut in futures:
+            with pytest.raises(ServingError):
+                fut.result(timeout=0.0)
+        stats = srv.stats()
+        assert stats["server.accepted"] == 5
+        assert stats["server.failed"] == 5
+        assert _resolved(stats) == stats["server.accepted"]
+        assert stats["server.inflight"] == 0
+        # Nothing was delivered, so no rider counts as coalesced.
+        assert "server.coalesced" not in stats
+        srv.close()
+
+    def test_riders_counted_once_at_delivery(self, fake_clock):
+        srv = self._server(fake_clock)
+        real = srv.service.apply_batch
+        calls = {"n": 0}
+
+        def flaky(name, batch, engine=None):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise ColoringError("injected")
+            return real(name, batch, engine=engine)
+
+        srv.service.apply_batch = flaky
+        futures = [srv.submit("bitrev", np.arange(_N) + i)
+                   for i in range(4)]
+        _run_queue(srv)
+        assert all(fut.result(timeout=0.0) is not None
+                   for fut in futures)
+        stats = srv.stats()
+        assert stats["server.retries"] == 1
+        assert stats["server.coalesced"] == 3
+        assert stats["server.served"] == 4
+        assert _resolved(stats) == stats["server.accepted"] == 4
+        srv.close()
+
+    def test_deadline_expiring_during_retries(self, fake_clock):
+        srv = self._server(
+            fake_clock, max_attempts=10, backoff_base=0.6,
+            breaker_threshold=100,
+        )
+
+        def always_transient(name, a, engine=None):
+            raise ColoringError("injected")
+
+        srv.service.apply = srv.service.apply_batch = always_transient
+        futures = [srv.submit("bitrev", np.arange(_N) + i,
+                              deadline_s=1.0)
+                   for i in range(3)]
+        _run_queue(srv)
+        for fut in futures:
+            with pytest.raises(DeadlineExceededError, match="retrying"):
+                fut.result(timeout=0.0)
+        stats = srv.stats()
+        assert stats["server.deadline_exceeded"] == 3
+        assert "server.failed" not in stats
+        assert _resolved(stats) == stats["server.accepted"] == 3
+        srv.close()
+
+    def test_dropped_on_close_count_as_failed(self, fake_clock):
+        srv = self._server(fake_clock)
+        for i in range(3):
+            srv.submit("bitrev", np.arange(_N) + i)
+        srv.close(drain=False)
+        stats = srv.stats()
+        assert stats["server.failed"] == 3
+        assert _resolved(stats) == stats["server.accepted"] == 3
+
+
 class TestCoalescing:
     def test_same_registration_requests_coalesce(self, fake_clock):
         srv = _stall_workers(PermutationServer(

@@ -121,19 +121,19 @@ class TestServing:
         svc.register("bitrev", bit_reversal(_N))
         svc.register("rand", random_permutation(_N, seed=1))
         assert svc.warm() == 2
-        plans_after_warm = svc.planner.plans
+        plans_after_warm = svc.planner.stats()["cold_plans"]
         a = np.arange(_N, dtype=np.float32)
         for _ in range(5):
             svc.apply("bitrev", a)
             svc.apply("rand", a)
-        assert svc.planner.plans == plans_after_warm
+        assert svc.planner.stats()["cold_plans"] == plans_after_warm
 
     def test_warm_subset(self, tmp_path):
         svc = PermutationService(width=_WIDTH, cache_dir=tmp_path)
         svc.register("a", bit_reversal(_N))
         svc.register("b", random_permutation(_N, seed=2))
         assert svc.warm(["a"]) == 1
-        assert svc.planner.plans == 1
+        assert svc.planner.stats()["cold_plans"] == 1
 
     def test_stats_and_describe(self, tmp_path):
         svc = PermutationService(width=_WIDTH, cache_dir=tmp_path)

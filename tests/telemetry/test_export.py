@@ -1,4 +1,4 @@
-"""Tests for the exporters: Chrome trace, Prometheus text, span tree."""
+"""Tests for the exporters: Chrome trace and span tree."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.errors import TelemetryError
 from repro.telemetry import (
     Tracer,
     chrome_trace,
-    prometheus_text,
     render_span_tree,
     validate_chrome_trace,
     write_chrome_trace,
@@ -28,7 +27,7 @@ def _sample_tracer() -> Tracer:
     tracer = Tracer(clock=FakeClock())
     with tracer.span("outer", n=64):
         with tracer.span("inner"):
-            tracer.count("steps")
+            pass
     return tracer
 
 
@@ -44,7 +43,8 @@ class TestChromeTrace:
         meta = obj["traceEvents"][0]
         assert meta["ph"] == "M" and meta["args"] == {"name": "unit"}
         phases = sorted({e["ph"] for e in obj["traceEvents"]})
-        assert phases == ["C", "M", "X"]
+        # Spans and metadata only: counts live in the metrics registry.
+        assert phases == ["M", "X"]
 
     def test_span_events_nest_by_ts_and_dur(self):
         obj = chrome_trace(_sample_tracer())
@@ -56,12 +56,6 @@ class TestChromeTrace:
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
         assert outer["args"]["n"] == 64
         assert inner["args"]["depth"] == 1
-
-    def test_counter_event_carries_total(self):
-        obj = chrome_trace(_sample_tracer())
-        (counter,) = [e for e in obj["traceEvents"] if e["ph"] == "C"]
-        assert counter["name"] == "steps"
-        assert counter["args"] == {"value": 1}
 
     def test_write_validates_and_round_trips(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -80,31 +74,12 @@ class TestChromeTrace:
         {"traceEvents": [{"name": "a", "ph": "X", "pid": 1, "ts": 0}]},
         {"traceEvents": [{"name": "a", "ph": "M", "pid": 1, "ts": 0,
                           "args": 7}]},
+        {"traceEvents": [{"name": "a", "ph": "C", "pid": 1, "ts": 0,
+                          "args": {"value": 1}}]},
     ])
     def test_validator_rejects_malformed(self, bad):
         with pytest.raises(TelemetryError):
             validate_chrome_trace(bad)
-
-
-class TestPrometheusText:
-    def test_counters_gauges_and_span_sums(self):
-        tracer = _sample_tracer()
-        tracer.gauge("plan.bytes", 1536)
-        text = prometheus_text(tracer)
-        assert "# TYPE repro_steps_total counter" in text
-        assert "repro_steps_total 1" in text
-        assert "repro_plan_bytes 1536" in text
-        assert "repro_span_outer_ms_sum" in text
-        assert text.endswith("\n")
-
-    def test_names_are_sanitized(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.count("coloring.euler/calls-odd")
-        text = prometheus_text(tracer)
-        assert "repro_coloring_euler_calls_odd_total 1" in text
-
-    def test_empty_tracer_renders_empty(self):
-        assert prometheus_text(Tracer(clock=FakeClock())) == ""
 
 
 class TestRenderSpanTree:

@@ -1,4 +1,7 @@
-"""The pipeline emits the spans and counters the profile relies on."""
+"""The pipeline emits the spans and counters the profile relies on.
+
+Counters are read as registry deltas around the run; the tracer holds
+spans only."""
 
 import numpy as np
 
@@ -9,9 +12,9 @@ from repro.machine.params import MachineParams
 from repro.permutations.named import bit_reversal
 
 
-def _run_pipeline(tmp_path):
+def _run_pipeline(tmp_path, counts=None):
     tracer = telemetry.Tracer()
-    with telemetry.use_tracer(tracer):
+    with telemetry.use_tracer(tracer), telemetry.counting() as moved:
         plan = ScheduledPermutation.plan(bit_reversal(256), width=8)
         path = tmp_path / "plan.npz"
         save_plan(path, plan)
@@ -20,6 +23,8 @@ def _run_pipeline(tmp_path):
         trace = plan.simulate(
             MachineParams(width=8, latency=16, num_dmms=4)
         )
+    if counts is not None:
+        counts.update(moved)
     return tracer, trace
 
 
@@ -49,13 +54,13 @@ def test_model_time_attributes_match_trace(tmp_path):
 
 
 def test_counters_cover_planning_and_io(tmp_path):
-    tracer, _trace = _run_pipeline(tmp_path)
-    counters = tracer.counters
-    assert counters["plans.scheduled"] == 1
-    assert counters["plan_io.saved"] == 1
-    assert counters["plan_io.loaded"] == 1
-    assert counters["coloring.euler.calls"] >= 1
-    assert counters["coloring.edges_colored"] >= 256
+    counters: dict = {}
+    _run_pipeline(tmp_path, counters)
+    assert counters["plans_scheduled_total"] == 1
+    assert counters["plan_io_saved_total"] == 1
+    assert counters["plan_io_loaded_total"] == 1
+    assert counters["coloring_euler_calls_total"] >= 1
+    assert counters["coloring_edges_colored_total"] >= 256
 
 
 def test_rejected_load_is_counted(tmp_path):
@@ -66,10 +71,10 @@ def test_rejected_load_is_counted(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a plan at all")
     tracer = telemetry.Tracer()
-    with telemetry.use_tracer(tracer):
+    with telemetry.use_tracer(tracer), telemetry.counting() as counts:
         with pytest.raises(PlanIntegrityError):
             load_plan(path)
-    assert tracer.counters["plan_io.rejected"] == 1
+    assert counts["plan_io_rejected_total"] == 1
     (load_span,) = tracer.find("plan_io.load")
     assert "error" in load_span.attributes
 
@@ -85,9 +90,9 @@ def test_hmm_run_kernel_bridges_model_time():
         0,
     )
     tracer = telemetry.Tracer()
-    with telemetry.use_tracer(tracer):
+    with telemetry.use_tracer(tracer), telemetry.counting() as counts:
         trace = hmm.run_kernel(kernel)
     (span,) = tracer.find("hmm.kernel")
     assert span.attributes["model_time"] == trace.time
-    assert tracer.counters["hmm.rounds"] == trace.num_rounds
-    assert tracer.counters["hmm.time_units"] == trace.time
+    assert counts["hmm_rounds_total"] == trace.num_rounds
+    assert counts["hmm_time_units_total"] == trace.time

@@ -101,6 +101,38 @@ def test_histogram_thread_safe_observe():
     assert sum(h.buckets.values()) == h.count
 
 
+def test_counters_never_lose_an_increment():
+    """The always-on counters take concurrent increments from many
+    threads (server workers, clients); none may be lost."""
+    import sys
+
+    from repro import telemetry
+
+    child = telemetry.MetricsRegistry().counter("probe_total")
+    n_threads, per_thread = 8, 3000
+
+    def pound():
+        for _ in range(per_thread):
+            telemetry.count("test_threaded_total")
+            child.inc(2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with telemetry.counting() as counts:
+            threads = [threading.Thread(target=pound)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counts == {"test_threaded_total": n_threads * per_thread}
+    assert child.value == 2 * n_threads * per_thread
+
+
 def test_percentiles_dict():
     h = Histogram()
     for i in range(100):

@@ -1,11 +1,16 @@
-"""The inactive-tracer fast path must be essentially free.
+"""The always-on instrumentation must be essentially free.
 
-The issue's budget: with no active tracer, instrumentation overhead on
-a small scheduled run stays under 5%.  Comparing two noisy end-to-end
-wall times flakes, so the test bounds the overhead analytically: it
-measures the per-call cost of an inactive instrumentation site, counts
-the sites a small ``apply`` passes through (a generous upper bound),
-and checks the product against 5% of the measured apply time.
+The issue's budget: instrumentation overhead on a small scheduled run
+stays under 5%.  Comparing two noisy end-to-end wall times flakes, so
+the test bounds the overhead analytically: it measures the per-call
+cost of one instrumentation site, counts the sites a small ``apply``
+passes through (a generous upper bound), and checks the product
+against 5% of the measured apply time.
+
+Both sides are timed the same way — interleaved repeats, minimum of
+``k`` — so a busy host slows the site and the apply together instead
+of failing the gate: the minimum is each operation's cost when it was
+not interrupted.
 """
 
 import time
@@ -16,7 +21,7 @@ from repro import telemetry
 from repro.core.scheduled import ScheduledPermutation
 from repro.permutations.named import bit_reversal
 
-#: Generous upper bound on inactive telemetry calls per plain apply():
+#: Generous upper bound on telemetry calls per plain apply():
 #: scheduled.apply + three step spans + per-kernel spans and counters.
 _SITES_PER_APPLY = 32
 
@@ -26,27 +31,43 @@ _SITES_PER_APPLY = 32
 #: ring appends along the way.
 _METRIC_SITES_PER_REQUEST = 24
 
+#: Interleaved repeats; each operation's cost is its minimum over them.
+_REPEATS = 50
 
-def test_noop_overhead_below_5_percent():
-    assert telemetry.get_tracer() is None
 
+def _min_interleaved(*batches) -> list[float]:
+    """Per-call minimum cost of each ``(fn, calls)`` batch over
+    :data:`_REPEATS` interleaved rounds."""
+    best = [float("inf")] * len(batches)
+    for _ in range(_REPEATS):
+        for i, (fn, calls) in enumerate(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[i] = min(best[i], (time.perf_counter() - start) / calls)
+    return best
+
+
+def _apply_fn():
     plan = ScheduledPermutation.plan(bit_reversal(4096), width=32)
     a = np.arange(4096, dtype=np.float32)
-    reps = 10
-    best_apply = min(
-        _timed(lambda: plan.apply(a)) for _ in range(reps)
-    )
+    return lambda: plan.apply(a)
 
-    calls = 10_000
-    start = time.perf_counter()
-    for _ in range(calls):
+
+def test_noop_overhead_below_5_percent():
+    """One site: an inactive span around a registry-backed count."""
+    assert telemetry.get_tracer() is None
+
+    def site():
         with telemetry.span("overhead.probe", n=1):
-            telemetry.count("overhead.probe")
-    per_site = (time.perf_counter() - start) / calls
+            telemetry.count("overhead_probe_total")
 
+    best_apply, per_site = _min_interleaved(
+        (_apply_fn(), 1), (site, 400)
+    )
     overhead = per_site * _SITES_PER_APPLY
     assert overhead < 0.05 * best_apply, (
-        f"inactive telemetry would cost {overhead * 1e6:.1f} us per "
+        f"telemetry would cost {overhead * 1e6:.1f} us per "
         f"apply of {best_apply * 1e6:.1f} us (> 5%)"
     )
 
@@ -60,23 +81,20 @@ def test_serving_metrics_overhead_below_5_percent():
     """
     assert telemetry.get_tracer() is None
 
-    plan = ScheduledPermutation.plan(bit_reversal(4096), width=32)
-    a = np.arange(4096, dtype=np.float32)
-    best_apply = min(_timed(lambda: plan.apply(a)) for _ in range(10))
-
     reg = telemetry.MetricsRegistry()
     hist = reg.histogram("probe_seconds", outcome="ok", tenant="t")
     counter = reg.counter("probe_total", event="x")
-    calls = 5_000
-    start = time.perf_counter()
-    for i in range(calls):
-        hist.observe(0.0001 * (1 + i % 13))
-        counter.inc()
-    # Each loop iteration is one histogram observe plus one counter
-    # inc; halve to get a single-site cost.
-    per_site = (time.perf_counter() - start) / calls / 2
+    values = iter(range(1 << 30))
 
-    overhead = per_site * _METRIC_SITES_PER_REQUEST
+    def update():
+        # One histogram observe plus one counter inc: two sites.
+        hist.observe(0.0001 * (1 + next(values) % 13))
+        counter.inc()
+
+    best_apply, per_update = _min_interleaved(
+        (_apply_fn(), 1), (update, 200)
+    )
+    overhead = per_update / 2 * _METRIC_SITES_PER_REQUEST
     assert overhead < 0.05 * best_apply, (
         f"serving metrics would cost {overhead * 1e6:.1f} us per "
         f"request around an apply of {best_apply * 1e6:.1f} us (> 5%)"
@@ -88,7 +106,7 @@ def test_no_tracer_means_no_request_contexts():
     assert telemetry.get_tracer() is None
     before = telemetry.RequestContext.created
     with telemetry.span("probe"):        # NullSpan path
-        telemetry.count("probe")
+        telemetry.count("probe_total")
     assert telemetry.RequestContext.created == before
     # And the active path does allocate, so the counter is live.
     tracer = telemetry.Tracer()
@@ -96,9 +114,3 @@ def test_no_tracer_means_no_request_contexts():
         telemetry.RequestContext(request_id=1, tenant="t", name="p",
                                  priority=1, deadline=None)
     assert telemetry.RequestContext.created == before + 1
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start

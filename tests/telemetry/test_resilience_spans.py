@@ -1,4 +1,8 @@
-"""The fallback chain emits spans/counters and embeds them in reports."""
+"""The fallback chain emits spans/counters and embeds them in reports.
+
+Spans mirror to the global tracer; counters live in each
+``ResilientPermutation``'s own registry and reach the report from
+there."""
 
 import numpy as np
 
@@ -28,8 +32,8 @@ class TestReportEmbedding:
                     if s.name == "backoff"]
         assert [s.attributes["seconds"] for s in backoffs] == [0.05, 0.1]
         assert resilient.report.counters == {
-            "resilience.retries": 2,
-            "resilience.faults_absorbed": 2,
+            "resilience_retries_total": 2,
+            "resilience_faults_absorbed_total": 2,
         }
 
     def test_persistent_fault_spans_walk_the_chain(self):
@@ -42,7 +46,7 @@ class TestReportEmbedding:
             ("plan.padded", "persistent-fault"),
             ("plan.d-designated", "ok"),
         ]
-        assert resilient.report.counters["resilience.fallbacks"] == 2
+        assert resilient.report.counters["resilience_fallbacks_total"] == 2
 
     def test_clean_run_has_single_ok_span(self):
         resilient = _resilient()
@@ -57,7 +61,7 @@ class TestReportEmbedding:
         assert "plan.scheduled" in summary
         assert "outcome=ok" in summary
         assert "counters:" in summary
-        assert "resilience.retries = 1" in summary
+        assert "resilience_retries_total = 1" in summary
 
     def test_clean_summary_omits_empty_sections(self):
         summary = _resilient().report.summary()
@@ -73,8 +77,10 @@ class TestGlobalMirroring:
                  if s.name.startswith("resilience.")]
         assert names.count("resilience.plan.scheduled") == 2
         assert names.count("resilience.backoff") == 1
-        assert tracer.counters["resilience.retries"] == 1
-        assert tracer.counters["resilience.faults_absorbed"] == 1
+        # Counters are the permutation's own, not the process's.
+        counters = resilient.metrics.counter_values()
+        assert counters["resilience_retries_total"] == 1
+        assert counters["resilience_faults_absorbed_total"] == 1
         # The report's private copy is independent of the global tracer.
         assert len(resilient.report.spans) == 3
 

@@ -8,12 +8,14 @@ from repro.telemetry import InMemorySink, JsonlSink, Tracer, read_jsonl
 def test_in_memory_sink_preserves_interleaving():
     sink = InMemorySink()
     tracer = Tracer(sinks=[sink])
-    tracer.count("before")
     with tracer.span("work"):
-        tracer.count("during")
+        with tracer.span("first"):
+            pass
+        with tracer.span("second"):
+            pass
     kinds = [(e["type"], e["name"]) for e in sink.events]
-    # Spans are emitted on completion, so the counters precede it.
-    assert kinds == [("counter", "before"), ("counter", "during"),
+    # Spans are emitted on completion, so children precede the parent.
+    assert kinds == [("span", "first"), ("span", "second"),
                      ("span", "work")]
 
 
@@ -23,20 +25,19 @@ def test_jsonl_round_trip(tmp_path):
         tracer = Tracer(sinks=[sink])
         with tracer.span("outer", n=np.int64(64)):
             with tracer.span("inner"):
-                tracer.count("steps", 2)
-        tracer.gauge("bytes", 123.0)
+                pass
+        sink.write({"type": "counter", "name": "steps_total",
+                    "delta": 2})
     events = read_jsonl(path)
-    assert [e["type"] for e in events] == ["counter", "span", "span",
-                                           "gauge"]
-    inner, outer = events[1], events[2]
+    assert [e["type"] for e in events] == ["span", "span", "counter"]
+    inner, outer = events[0], events[1]
     assert inner["name"] == "inner" and outer["name"] == "outer"
     assert inner["parent_id"] == outer["span_id"]
     assert inner["depth"] == 1
     # NumPy attribute values survive as plain JSON numbers.
     assert outer["attributes"] == {"n": 64}
-    assert events[0] == {"type": "counter", "t_ns": events[0]["t_ns"],
-                         "name": "steps", "delta": 2, "total": 2}
-    assert events[3]["value"] == 123.0
+    assert events[2] == {"type": "counter", "name": "steps_total",
+                         "delta": 2}
 
 
 def test_jsonl_sink_close_is_idempotent(tmp_path):

@@ -104,20 +104,25 @@ class TestSpanNesting:
 
 
 class TestCountersAndGauges:
+    """Module-level counts land in the always-on process registry."""
+
     def test_counter_aggregates(self):
-        tracer = Tracer(clock=FakeClock())
-        assert tracer.count("hits") == 1
-        assert tracer.count("hits", 4) == 5
-        assert tracer.counters == {"hits": 5}
-        deltas = [(n, d, t) for _ts, n, d, t in tracer.counter_events]
-        assert deltas == [("hits", 1, 1), ("hits", 4, 5)]
+        assert telemetry.get_tracer() is None
+        with telemetry.counting() as counts:
+            telemetry.count("test_hits_total")
+            telemetry.count("test_hits_total", 4)
+            telemetry.count("test_hits_total", 2, kind="x")
+        assert counts == {
+            "test_hits_total": 5,
+            'test_hits_total{kind="x"}': 2,
+        }
+        assert not hasattr(Tracer(), "counters")
 
     def test_gauge_last_write_wins(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.gauge("bytes", 10)
-        tracer.gauge("bytes", 7)
-        assert tracer.gauges == {"bytes": 7}
-        assert len(tracer.gauge_events) == 2
+        telemetry.gauge("test_bytes", 10)
+        telemetry.gauge("test_bytes", 7)
+        assert telemetry.REGISTRY.gauge("test_bytes").value == 7
+        assert not hasattr(Tracer(), "gauge")
 
 
 class TestActivation:
@@ -127,19 +132,19 @@ class TestActivation:
         assert sp is NULL_SPAN
         with sp as entered:
             assert entered is NULL_SPAN
-        # Inactive counters/gauges are silent no-ops.
-        telemetry.count("nothing")
-        telemetry.gauge("nothing", 1.0)
+        # Counts do not need a tracer: they still land in the registry.
+        with telemetry.counting() as counts:
+            telemetry.count("test_untraced_total")
+        assert counts == {"test_untraced_total": 1}
 
     def test_use_tracer_scopes_activation(self):
         tracer = Tracer(clock=FakeClock())
         with telemetry.use_tracer(tracer):
             assert telemetry.get_tracer() is tracer
             with telemetry.span("scoped"):
-                telemetry.count("inside")
+                pass
         assert telemetry.get_tracer() is None
         assert [s.name for s in tracer.spans] == ["scoped"]
-        assert tracer.counters == {"inside": 1}
 
     def test_use_tracer_restores_previous(self):
         outer, inner = Tracer(), Tracer()

@@ -95,7 +95,7 @@ class TestProfile:
             assert phase in out
         assert "coloring.euler" in out        # colouring visible in tree
         assert "counters:" in out
-        assert "plans.scheduled = 1" in out
+        assert "plans_scheduled_total = 1" in out
         assert "model: time" in out           # TraceMetrics footer
 
     def test_trace_out_is_valid_chrome_trace(self, capsys, tmp_path):
@@ -144,7 +144,7 @@ class TestTelemetryFlag:
         out = _run(capsys, "cost", "--n", "256", "--width", "4",
                    "--latency", "5", "--telemetry")
         assert "telemetry:" in out
-        assert "counter plans.scheduled = 1" in out
+        assert "counter plans_scheduled_total = 1" in out
         assert "scheduled.plan" in out
 
     def test_demo_without_flag_has_no_summary(self, capsys):
@@ -154,7 +154,9 @@ class TestTelemetryFlag:
     def test_resilience_demo_shows_fallback_spans(self, capsys):
         out = _run(capsys, "resilience-demo", "--n", "256",
                    "--width", "4", "--telemetry")
-        assert "counter resilience.retries = 1" in out
+        # Chain counters come from the permutation's own registry,
+        # embedded in its report.
+        assert "resilience_retries_total = 1" in out
         assert "resilience.plan.scheduled" in out
         assert "resilience.backoff" in out
         assert "outcome=persistent-fault" in out

@@ -24,8 +24,10 @@ def test_report_footer_has_slowest_check_and_counters():
     assert "slowest check:" in text
     assert "ms total)" in text
     assert "telemetry:" in text
-    assert "plans.scheduled=" in text
-    assert "resilience.faults_absorbed=" in text
+    assert "plans_scheduled_total=" in text
+    # Process-wide registry deltas only: a ResilientPermutation counts
+    # in its own registry, shown in its FailureReport.
+    assert "plan_io_rejected_total=" in text
 
 
 def test_report_covers_every_artefact_class():
