@@ -58,9 +58,10 @@ def test_bench_backend_in_full_plan(benchmark, backend):
 
 
 def test_planning_scaling_report(report, benchmark):
-    """Offline planning cost vs n: near-linear (the vectorised Euler
-    split is O(E log E log D)), and inverse planning — which reuses the
-    global colouring — is cheaper than a fresh plan."""
+    """Offline planning cost vs n: near-linear (the level-synchronous
+    Euler colouring is one initial sort plus O(E) per level, log D
+    levels), and inverse planning — which reuses the global colouring —
+    is cheaper than a fresh plan."""
     import time
 
     from repro.analysis.charts import loglog_slope

@@ -14,8 +14,10 @@ k-edge-colourable*.  The colouring is used twice:
 
 Three interchangeable backends are provided:
 
-* :func:`euler_split_coloring` — recursive Euler splitting, exact for
-  power-of-two degrees (all sizes in the paper), O(E log D);
+* :func:`euler_split_coloring` — level-synchronous Euler splitting,
+  exact for power-of-two degrees (all sizes in the paper): one initial
+  sort, then one ``O(E)`` vectorised split of every colour class per
+  level, ``log2(D)`` levels;
 * :func:`matching_coloring` — repeated perfect-matching extraction via
   :func:`scipy.sparse.csgraph.maximum_bipartite_matching` (any degree);
 * :func:`hopcroft_karp_coloring` — dependency-free pure-Python

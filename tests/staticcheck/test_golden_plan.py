@@ -1,12 +1,19 @@
-"""The checked-in golden plan must stay loadable, certified and exact.
+"""The checked-in golden plans must stay loadable, certified and exact.
 
-``tests/data/golden_plan.npz`` is a committed artefact (random
-permutation, ``seed=0``, ``n=256``, ``width=4``) written by
-``save_plan`` with an embedded certificate.  It pins three things at
-once: the on-disk format (a format change that can't read old files
-fails here first), the certificate chain (load re-validates the
-embedded proof), and planning determinism (re-planning the same seed
-must reproduce the stored schedule bit for bit).
+Both fixtures follow one recipe (random permutation, ``seed=0``,
+``n=256``, ``width=4``, written by ``save_plan`` with an embedded
+certificate):
+
+* ``tests/data/golden_plan.npz`` was written by the earlier recursive
+  Euler colouring in the version-2 layout.  It pins the on-disk format
+  (a format change that can't read old files fails here first) and the
+  certificate chain (load re-validates the embedded proof): plans and
+  caches written before the level-synchronous colouring must still
+  load, certify and permute.
+* ``tests/data/golden_plan_levelsync.npz`` was written by the
+  level-synchronous colouring.  It pins planning determinism:
+  re-planning the same seed must reproduce the stored schedule bit for
+  bit.
 """
 
 from pathlib import Path
@@ -18,7 +25,9 @@ from repro.core.scheduled import ScheduledPermutation
 from repro.permutations.named import random_permutation
 from repro.staticcheck import certify_plan
 
-GOLDEN = Path(__file__).parent.parent / "data" / "golden_plan.npz"
+DATA = Path(__file__).parent.parent / "data"
+GOLDEN = DATA / "golden_plan.npz"
+GOLDEN_LEVELSYNC = DATA / "golden_plan_levelsync.npz"
 
 
 def test_golden_plan_loads_with_certificate():
@@ -38,7 +47,8 @@ def test_golden_plan_recertifies_identically():
 
 
 def test_golden_plan_matches_fresh_planning():
-    plan = load_plan(GOLDEN)
+    plan = load_plan(GOLDEN_LEVELSYNC)
+    assert plan.certificate is not None and plan.certificate.ok
     fresh = ScheduledPermutation.plan(
         random_permutation(256, seed=0), width=4
     )
