@@ -1,11 +1,15 @@
 """Plan persistence.
 
 The scheduled algorithm's whole point is that planning happens *once*,
-offline — so plans must be storable.  Format version 3 serialises the
+offline — so plans must be storable.  Format version 4 serialises the
 engine's *lowered kernel program* (:class:`~repro.ir.program.
-KernelProgram`) to a single compressed ``.npz``: the engine name, the
+KernelProgram`) to a single ``.npz``: the engine name, the
 permutation, and one group of keys per op (``op0.kind``, ``op0.gamma``,
 ``op0.s`` ...) holding exactly the schedule arrays the op carries.
+Each member is deflated, bit-packed or stored, whichever the writer
+estimates smallest (:func:`_write_npz`); a random permutation's index
+arrays barely deflate, so they are packed to their exact bit width or
+stored instead of paying for deflate.
 Because every registered engine lowers to the IR, **any** engine's plan
 can be saved and loaded — loading rebuilds the planned engine through
 ``Engine.from_program`` without re-running any colouring.
@@ -24,9 +28,10 @@ exception:
 * written by another format version         →
   :class:`~repro.errors.PlanVersionError`.
 
-Files of the previous format (version 2: the fixed thirteen-key layout
-of a scheduled plan) still load — the golden plan in ``tests/data`` is
-one — but new files are always written as version 3.
+Files of the previous formats still load — version 2 (the fixed
+thirteen-key layout of a scheduled plan) and version 3 (the v4 keys,
+every member deflated); ``tests/data`` holds one golden plan of each —
+but new files are always written as version 4.
 
 On top of integrity, files embed machine-checked *proofs*:
 
@@ -35,7 +40,7 @@ On top of integrity, files embed machine-checked *proofs*:
   proof*: by default :func:`save_plan` computes the static
   conflict-freedom certificate of :mod:`repro.staticcheck`, binds it
   to the payload checksum and stores it;
-* **every** v3 file embeds a *correctness proof*: the semantic
+* **every** v3/v4 file embeds a *correctness proof*: the semantic
   certificate of :mod:`repro.staticcheck.semantics`, recording that
   the stored program's symbolically-computed denotation is a bijection
   equal to the stored permutation ``p``.
@@ -57,7 +62,11 @@ definition, and ``docs/static-analysis.md`` for both certificates.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import zipfile
+import zlib
+from io import BytesIO
 from pathlib import Path
 from typing import Any
 
@@ -82,13 +91,17 @@ from repro.ir.registry import get_engine
 #: Format tag stored in every file; bump on incompatible change.
 #: Version history: 1 = raw arrays; 2 = adds ``checksum`` (SHA-256 over
 #: the payload) and ``library_version`` stamps; 3 = generic lowered
-#: kernel programs (any registered engine, ``op{i}.*`` key groups).
-FORMAT_VERSION = 3
+#: kernel programs (any registered engine, ``op{i}.*`` key groups);
+#: 4 = the v3 keys, each member stored, deflated or bit-packed
+#: (:func:`_write_npz`).
+FORMAT_VERSION = 4
 
 #: Format tag of sealed sidecar files (``save_sealed``); independent of
 #: :data:`FORMAT_VERSION` because sealed artifacts are derived caches,
-#: not plans — losing one costs a re-seal, never a re-plan.
-SEALED_FORMAT_VERSION = 1
+#: not plans — losing one costs a re-seal, never a re-plan.  Version 2
+#: stores the gather raw or delta-encoded, whichever is smaller, and
+#: uses the per-member encodings of :func:`_write_npz`.
+SEALED_FORMAT_VERSION = 2
 
 #: Keys that describe the file rather than the plan; excluded from the
 #: checksum so adding a certificate does not change the payload digest.
@@ -136,7 +149,8 @@ def plan_checksum(arrays: dict, keys: tuple[str, ...] | None = None) -> str:
     Each key contributes, in order: its name, the array's dtype string,
     its shape, and its C-contiguous bytes — so any bit flip, shape
     change, retyping, or added/removed key changes the digest.  Version
-    3 files hash every non-metadata key in sorted order (the default);
+    3 and 4 files hash every non-metadata key in sorted order (the
+    default), over the logical arrays whatever their member encoding;
     version 2 files pass ``keys=PAYLOAD_KEYS`` for the legacy fixed
     order.
     """
@@ -153,7 +167,271 @@ def plan_checksum(arrays: dict, keys: tuple[str, ...] | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Packing (version 3: generic kernel programs)
+# Member codec: one writer and one reader for every .npz this module
+# writes (version 4 plans, version 2 sidecars)
+# ----------------------------------------------------------------------
+
+#: Bytes of a member's head that a level-1 deflate probe compresses to
+#: estimate the member's deflate ratio.  Random index arrays deflate to
+#: ~1.0 of their size, so a probe this small already tells them apart
+#: from the structured (affine) members that deflate to a few percent.
+_PROBE_BYTES = 16 * 1024
+
+#: A member is deflated only when the probe predicts it shrinks below
+#: this fraction of its size: random index arrays probe at 0.9-1.0 and
+#: would pay milliseconds of deflate to save almost nothing.
+_DEFLATE_CUTOFF = 0.9
+
+#: Member-name suffixes of a bit-packed array: the packed bytes and the
+#: JSON spec (``bits``, ``dtype``, ``shape``) that decodes them.
+_PACKED_SUFFIX = ".bitpacked"
+_SPEC_SUFFIX = ".bitspec"
+
+#: What a spec member adds to the file: its deflated ``.npy`` (~100
+#: bytes) plus a zip local header and central-directory entry.
+_SPEC_BYTES = 256
+
+#: The dtypes a packed member may decode to, by ``dtype.str``.
+_UNSIGNED_DTYPES = {
+    np.dtype(t).newbyteorder(order).str: np.dtype(t).newbyteorder(order)
+    for t in ("uint8", "uint16", "uint32", "uint64") for order in "<>"
+}
+
+#: Members at least this large get zip64 headers (the zip32 limit is
+#: 2 GiB - 1; the margin covers the .npy header).
+_ZIP64_BYTES = (1 << 31) - (1 << 20)
+
+
+def _packed_bits(arr: np.ndarray) -> int:
+    """The exact bit width of an unsigned array's largest value, or 0
+    when the array is not unsigned, is empty, or would not shrink."""
+    if arr.dtype.kind != "u" or arr.size == 0:
+        return 0
+    bits = max(1, int(arr.max()).bit_length())
+    return bits if bits < 8 * arr.dtype.itemsize else 0
+
+
+def _npy_header(arr: np.ndarray) -> bytes:
+    """The ``.npy`` header ``np.lib.format.write_array`` puts before
+    ``arr``'s data (mostly padding: it deflates well)."""
+    buf = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, np.lib.format.header_data_from_array_1_0(arr)
+    )
+    return buf.getvalue()
+
+
+def _encoding(arr: np.ndarray) -> tuple[str, int, float]:
+    """How to store ``arr``: ``("deflate" | "pack" | "store", bits to
+    pack with, estimated member bytes)``.
+
+    The deflate ratio comes from a level-1 probe of the member's first
+    :data:`_PROBE_BYTES` (``.npy`` header included, which decides small
+    members); the packing size adds the spec member's
+    :data:`_SPEC_BYTES`.  Deflate wins when it is the smaller estimate
+    and below :data:`_DEFLATE_CUTOFF` of the plain size; otherwise an
+    unsigned array whose values use fewer bits than its dtype is
+    bit-packed; anything else is stored as-is.
+    """
+    header = _npy_header(arr)
+    plain = len(header) + arr.nbytes
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    head = header + flat[: -(-_PROBE_BYTES // flat.itemsize)].tobytes()
+    deflated = plain * len(zlib.compress(head, 1)) / len(head)
+    bits = _packed_bits(arr)
+    packed = (len(header) + -(-arr.size * bits // 8) + _SPEC_BYTES
+              if bits else plain)
+    if deflated < min(packed, _DEFLATE_CUTOFF * plain):
+        return "deflate", 0, deflated
+    if packed < plain:
+        return "pack", bits, packed
+    return "store", 0, plain
+
+
+def _pack_bits(arr: np.ndarray, bits: int) -> np.ndarray:
+    """Pack unsigned ``arr`` at ``bits`` bits per value, little-endian
+    bit order (value ``i`` fills stream bits ``i*bits`` upward); the
+    pad bits of the last byte are zero.
+
+    Eight values fill exactly ``bits`` bytes, so the stream is built one
+    group-of-eight byte column at a time: each output byte ORs the
+    shifted low bytes of the (at most nine) values that overlap it.
+    """
+    flat = arr.reshape(-1)
+    count = flat.size
+    groups = -(-count // 8)
+    values = np.zeros(groups * 8, dtype=arr.dtype)
+    values[:count] = flat
+    values = values.reshape(groups, 8)
+    # The uint8 arrays here are byte streams, not indices (REP103).
+    out = np.zeros((groups, bits), dtype=np.uint8)  # staticcheck: ignore[REP103]
+    for j in range(8):
+        column = values[:, j]
+        first = j * bits
+        for byte in range(first >> 3, ((first + bits - 1) >> 3) + 1):
+            shift = 8 * byte - first
+            part = column >> shift if shift >= 0 else column << -shift
+            out[:, byte] |= part.astype(np.uint8)  # staticcheck: ignore[REP103]
+    return out.reshape(-1)[: -(-count * bits // 8)]
+
+
+def _unpack_bits(data: np.ndarray, bits: int, count: int,
+                 dtype: np.dtype) -> np.ndarray:
+    """Inverse of :func:`_pack_bits`: ``count`` values of ``dtype``.
+
+    Value ``j`` of every group of eight starts at the same byte column
+    and bit shift, so one strided unaligned little-endian uint64 window
+    per ``j`` reads all of them at once (plus one byte when ``shift +
+    bits`` exceeds 64): eight vectorised shift-and-mask passes over
+    ``count / 8`` values, with no per-bit temporaries.
+    """
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    groups = -(-count // 8)
+    buf = np.zeros(groups * bits + 9, dtype=np.uint8)  # staticcheck: ignore[REP103]
+    buf[: data.size] = data
+    out = np.empty((groups, 8), dtype=dtype)
+    mask = np.uint64((1 << bits) - 1)
+    for j in range(8):
+        column, shift = (j * bits) >> 3, (j * bits) & 7
+        word = np.ndarray((groups,), dtype="<u8", buffer=buf,
+                          offset=column, strides=(bits,))
+        word = word >> np.uint64(shift)
+        if shift + bits > 64:
+            high = np.ndarray((groups,), dtype=np.uint8,
+                              buffer=buf, offset=column + 8,
+                              strides=(bits,))
+            word |= high.astype(np.uint64) << np.uint64(64 - shift)
+        out[:, j] = word & mask
+    return out.reshape(-1)[:count]
+
+
+def _spec_bytes(bits: int, dtype: np.dtype, shape: tuple) -> bytes:
+    """The canonical JSON spec of a packed member."""
+    return json.dumps({"bits": bits, "dtype": dtype.str,
+                       "shape": [int(d) for d in shape]}).encode()
+
+
+def _write_member(zf: zipfile.ZipFile, name: str, arr: np.ndarray,
+                  compression: int) -> None:
+    info = zipfile.ZipInfo(name + ".npy")
+    info.compress_type = compression
+    with zf.open(info, "w", force_zip64=arr.nbytes >= _ZIP64_BYTES) as fh:
+        np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
+def _write_npz(path, arrays: dict) -> None:
+    """Write ``arrays`` to ``path`` as an ``.npz`` that ``np.load`` can
+    open, choosing per member (:func:`_encoding`) between
+    ``ZIP_DEFLATED`` (NumPy's default level 6), bit-packed
+    ``ZIP_STORED`` and plain ``ZIP_STORED``.
+
+    A packed member ``key`` becomes two members: ``key.bitpacked``
+    (the :func:`_pack_bits` stream) and ``key.bitspec`` (its JSON
+    spec).  :func:`_read_npz` restores every array bit for bit, so
+    checksums over the logical arrays are unaffected by the choice.
+    """
+    with zipfile.ZipFile(Path(path), "w", allowZip64=True) as zf:
+        for key, value in arrays.items():
+            arr = np.asarray(value)
+            how, bits, _ = _encoding(arr)
+            if how == "pack":
+                spec = _spec_bytes(bits, arr.dtype, arr.shape)
+                _write_member(zf, key + _SPEC_SUFFIX,
+                              np.asarray(np.bytes_(spec)),
+                              zipfile.ZIP_DEFLATED)
+                _write_member(zf, key + _PACKED_SUFFIX,
+                              _pack_bits(arr, bits), zipfile.ZIP_STORED)
+            else:
+                _write_member(zf, key, arr,
+                              zipfile.ZIP_DEFLATED if how == "deflate"
+                              else zipfile.ZIP_STORED)
+
+
+def _unpack_member(path, key: str, data: np.ndarray,
+                   spec_arr: np.ndarray) -> np.ndarray:
+    """Decode one bit-packed member, refusing any spec or stream that
+    does not match exactly (wrong length, nonzero pad bits)."""
+    try:
+        stored_spec = spec_arr.item()
+        spec = json.loads(stored_spec)
+        bits = int(spec["bits"])
+        dtype = _UNSIGNED_DTYPES[str(spec["dtype"])]
+        shape = tuple(int(d) for d in spec["shape"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise PlanCorruptionError(
+            f"{path}: bit-packing spec of {key} is malformed: {exc}"
+        ) from exc
+    # Only the writer's exact bytes are accepted, so a flipped spec bit
+    # that still parses (a space, a digit's leading zero) is refused.
+    if (not 1 <= bits <= 8 * dtype.itemsize
+            or any(d < 0 for d in shape)
+            or stored_spec != _spec_bytes(bits, dtype, shape)):
+        raise PlanCorruptionError(
+            f"{path}: bit-packing spec of {key} is invalid or not "
+            f"canonical: {stored_spec!r}"
+        )
+    count = math.prod(shape)
+    stream_bits = count * bits
+    if (data.dtype != np.uint8 or data.ndim != 1
+            or data.size != -(-stream_bits // 8)):
+        raise PlanCorruptionError(
+            f"{path}: packed member {key} holds {data.size} bytes, but "
+            f"its spec needs {-(-stream_bits // 8)} ({count} values x "
+            f"{bits} bits)"
+        )
+    if stream_bits % 8 and int(data[-1]) >> (stream_bits % 8):
+        raise PlanCorruptionError(
+            f"{path}: packed member {key} has nonzero pad bits — the "
+            "file was corrupted"
+        )
+    return _unpack_bits(data, bits, count, dtype).reshape(shape)
+
+
+def _read_npz(path, what: str = "plan file") -> dict:
+    """Read every array of an ``.npz`` written by :func:`_write_npz`
+    (or by ``np.savez_compressed``: legacy files have no packed
+    members), decoding packed members back to their logical arrays.
+
+    Any unreadable archive or inconsistent packed member raises
+    :class:`PlanCorruptionError` naming ``path``; ``what`` names the
+    kind of file in that message.
+    """
+    try:
+        with np.load(Path(path)) as data:
+            raw = {k: np.asarray(data[k]) for k in data.files}
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError,
+            zlib.error) as exc:
+        raise PlanCorruptionError(
+            f"{path}: {what} is unreadable (truncated or not an archive "
+            f"written by this library): {exc}"
+        ) from exc
+    arrays: dict = {}
+    for name, value in raw.items():
+        if name.endswith(_SPEC_SUFFIX):
+            key = name[: -len(_SPEC_SUFFIX)]
+            if key + _PACKED_SUFFIX not in raw:
+                raise PlanCorruptionError(
+                    f"{path}: bit-packing spec of {key} has no packed "
+                    "member"
+                )
+        elif name.endswith(_PACKED_SUFFIX):
+            key = name[: -len(_PACKED_SUFFIX)]
+            spec = raw.get(key + _SPEC_SUFFIX)
+            if spec is None or key in raw:
+                raise PlanCorruptionError(
+                    f"{path}: packed member {key} has "
+                    + ("no bit-packing spec" if spec is None
+                       else "a plain duplicate")
+                )
+            arrays[key] = _unpack_member(path, key, value, spec)
+        else:
+            arrays[name] = value
+    return arrays
+
+
+# ----------------------------------------------------------------------
+# Packing (versions 3 and 4: generic kernel programs)
 # ----------------------------------------------------------------------
 
 
@@ -162,7 +440,7 @@ def _narrow_index_array(arr: np.ndarray) -> np.ndarray:
 
     Plan arrays are indices (permutations, schedules, colourings):
     non-negative integers bounded by ``n``.  Stored at ``int64`` they
-    waste 4--8x the bytes actually needed, so v3 files narrow them to
+    waste 4--8x the bytes actually needed, so v3/v4 files narrow them to
     the smallest unsigned dtype that holds the maximum value.  Arrays
     that are not integer, are empty, or contain negatives (sentinel
     conventions) are stored as-is.
@@ -285,7 +563,7 @@ def _certifiable_plan(plan: Any) -> ScheduledPermutation | None:
 
 def save_plan(path, plan, certify: bool = True,
               provenance: dict | None = None) -> None:
-    """Serialise a planned engine to ``path`` (.npz, format v3).
+    """Serialise a planned engine to ``path`` (.npz, format v4).
 
     ``plan`` may be any registered engine instance (its class carries
     ``engine_name``); anything else raises
@@ -367,13 +645,12 @@ def save_plan(path, plan, certify: bool = True,
                     f"its own permutation — {sem.summary()}"
                 )
             extra["semantic_certificate"] = np.str_(sem.to_json())
-        np.savez_compressed(
-            Path(path),
-            checksum=np.str_(checksum),
-            library_version=np.str_(__version__),
+        _write_npz(path, {
+            "checksum": np.str_(checksum),
+            "library_version": np.str_(__version__),
             **extra,
             **arrays,
-        )
+        })
         sp.set(file_bytes=Path(path).stat().st_size,
                certified="certificate" in extra,
                semantically_certified="semantic_certificate" in extra)
@@ -452,14 +729,7 @@ def _read_payload(
     in :class:`PlanCorruptionError` naming the offending path, instead
     of leaking raw ``zipfile`` / ``KeyError`` internals.
     """
-    try:
-        with np.load(Path(path)) as data:
-            arrays = {k: np.asarray(data[k]) for k in data.files}
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-        raise PlanCorruptionError(
-            f"{path}: plan file is unreadable (truncated or not a "
-            f"save_plan archive): {exc}"
-        ) from exc
+    arrays = _read_npz(path)
     if "format_version" not in arrays:
         raise PlanCorruptionError(
             f"{path}: plan file is incomplete: format_version is not "
@@ -477,7 +747,7 @@ def _read_payload(
             "deterministic, so the regenerated schedule is "
             "identical."
         )
-    if version not in (2, FORMAT_VERSION):
+    if version not in (2, 3, FORMAT_VERSION):
         raise PlanVersionError(
             f"{path}: unsupported plan format version {version}; "
             f"this build reads versions 2-{FORMAT_VERSION}"
@@ -563,6 +833,8 @@ def _load_plan_inner(path, sp):
         # v2 files predate semantic certificates; any stray
         # semantic_certificate key is ignored.
         return _load_plan_v2(path, arrays, stored, cert_json, sp)
+    # v3 and v4 share one logical layout; only member encodings differ,
+    # and _read_npz has already decoded those.
     return _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp)
 
 
@@ -855,12 +1127,15 @@ def _zigzag_decode(codes: np.ndarray) -> np.ndarray:
 def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
     """Serialise a :class:`~repro.ir.sealed.SealedProgram` to ``path``.
 
-    The gather index is stored **delta-encoded**: zigzagged first
-    differences of the (near-sorted for structured permutations)
-    gather array, narrowed to the smallest sufficient unsigned dtype —
-    a sealed sidecar for ``n = 2^20`` costs a fraction of its ``int64``
-    in-memory form.  The scatter map is not stored at all; the loader
-    re-derives it as the gather's inverse.
+    The gather index is stored either raw (``gather``) or
+    **delta-encoded** (``gather_delta``: zigzagged first differences,
+    tiny for the near-sorted gathers of structured permutations), each
+    narrowed to the smallest sufficient unsigned dtype; whichever has
+    the smaller :func:`_encoding` estimate is written.  A random
+    gather stays raw (its deltas need a wider dtype and deflate
+    poorly), an affine one is delta-encoded and deflated.  The scatter
+    map is not stored at all; the loader re-derives it as the gather's
+    inverse.
 
     Integrity mirrors plan files: a SHA-256 checksum over the payload
     keys, the denotation digest of the scatter map as a payload key
@@ -877,7 +1152,6 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
     with telemetry.span(
         "plan_io.save_sealed", n=sealed.n, engine=sealed.engine
     ) as sp:
-        deltas = np.diff(sealed.gather, prepend=np.int64(0))
         arrays: dict = {
             "sealed_version": np.int64(SEALED_FORMAT_VERSION),
             "engine": np.str_(sealed.engine),
@@ -887,7 +1161,12 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
                 denotation_digest(sealed.scatter)
             ),
         }
-        _store_narrowed(arrays, "gather_delta", _zigzag_encode(deltas))
+        deltas = np.diff(sealed.gather, prepend=np.int64(0))
+        encoded = {"gather": np.asarray(sealed.gather),
+                   "gather_delta": _zigzag_encode(deltas)}
+        key = min(encoded, key=lambda k: _encoding(
+            _narrow_index_array(encoded[k]))[2])
+        _store_narrowed(arrays, key, encoded[key])
         rounds = sealed.meta.get("predicted_rounds")
         if isinstance(rounds, int) and rounds > 0:
             arrays["predicted_rounds"] = np.int64(rounds)
@@ -905,13 +1184,12 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
             extra["semantic_certificate"] = np.str_(
                 sealed.certificate.to_json()
             )
-        np.savez_compressed(
-            Path(path),
-            checksum=np.str_(checksum),
-            library_version=np.str_(__version__),
+        _write_npz(path, {
+            "checksum": np.str_(checksum),
+            "library_version": np.str_(__version__),
             **extra,
             **arrays,
-        )
+        })
         sp.set(file_bytes=Path(path).stat().st_size)
         telemetry.count("plan_io_sealed_saved_total")
 
@@ -932,15 +1210,7 @@ def load_sealed(path, expected_plan_sha: str | None = None):
     """
     with telemetry.span("plan_io.load_sealed") as sp:
         try:
-            with np.load(Path(path)) as data:
-                arrays = {k: np.asarray(data[k]) for k in data.files}
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            telemetry.count("plan_io_sealed_rejected_total")
-            raise PlanCorruptionError(
-                f"{path}: sealed artifact is unreadable (truncated or "
-                f"not a save_sealed archive): {exc}"
-            ) from exc
-        try:
+            arrays = _read_npz(path, what="sealed artifact")
             sealed = _decode_sealed(path, arrays, expected_plan_sha)
         except Exception:
             telemetry.count("plan_io_sealed_rejected_total")
@@ -957,17 +1227,23 @@ def _decode_sealed(path, arrays: dict, expected_plan_sha: str | None):
         denotation_digest,
     )
 
-    for key in ("checksum", "sealed_version", "n", "gather_delta"):
+    for key in ("checksum", "sealed_version", "n"):
         if key not in arrays:
             raise PlanCorruptionError(
                 f"{path}: sealed artifact is incomplete: {key} is not "
                 "a file in the archive"
             )
     version = int(arrays["sealed_version"])
-    if version != SEALED_FORMAT_VERSION:
+    if version not in (1, SEALED_FORMAT_VERSION):
         raise PlanVersionError(
             f"{path}: unsupported sealed format version {version}; "
-            f"this build reads version {SEALED_FORMAT_VERSION}"
+            f"this build reads versions 1-{SEALED_FORMAT_VERSION}"
+        )
+    encodings = [k for k in ("gather", "gather_delta") if k in arrays]
+    if len(encodings) != 1:
+        raise PlanCorruptionError(
+            f"{path}: sealed artifact must store exactly one of gather "
+            f"and gather_delta, found {encodings or 'neither'}"
         )
     stored = str(arrays.pop("checksum"))
     sem_arr = arrays.pop("semantic_certificate", None)
@@ -987,15 +1263,17 @@ def _decode_sealed(path, arrays: dict, expected_plan_sha: str | None):
                 "not belong together"
             )
     n = int(arrays["n"])
-    deltas = _zigzag_decode(
-        _restore_narrowed(arrays, "gather_delta")
-    )
-    if deltas.shape[0] != n:
+    stored_gather = _restore_narrowed(arrays, encodings[0])
+    if stored_gather.shape != (n,):
         raise PlanCorruptionError(
-            f"{path}: sealed artifact stores {deltas.shape[0]} gather "
-            f"deltas for n = {n} — the index data is inconsistent"
+            f"{path}: sealed artifact stores {encodings[0]} of shape "
+            f"{stored_gather.shape} for n = {n} — the index data is "
+            "inconsistent"
         )
-    gather = np.cumsum(deltas, dtype=np.int64)
+    if encodings[0] == "gather":
+        gather = stored_gather.astype(np.int64, copy=False)
+    else:
+        gather = np.cumsum(_zigzag_decode(stored_gather), dtype=np.int64)
     if n and (int(gather.min()) < 0 or int(gather.max()) >= n):
         raise PlanCorruptionError(
             f"{path}: decoded sealed gather leaves the range "

@@ -376,8 +376,8 @@ class DiskPlanCache:
         from repro.core.io import save_plan
 
         path = self.path_for(fingerprint)
-        # The suffix must end in ".npz": np.savez would otherwise
-        # append it and write somewhere else.
+        # A hidden per-writer sibling: same filesystem, so the
+        # os.replace below is atomic.
         tmp = path.with_name(
             f".{fingerprint}.{os.getpid()}.{threading.get_ident()}"
             ".tmp.npz"

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.coloring import euler as _euler
 from repro.coloring import matching as _matching
+from repro.core.io import _read_npz, _write_npz
 from repro.errors import (
     ColoringError,
     FaultInjectionError,
@@ -248,7 +249,11 @@ class FaultPlan:
 
         ``mode`` is one of :data:`FILE_FAULT_MODES`.  Deterministic:
         the damage depends only on ``seed``, the number of previous
-        corruptions by this plan, and the file content.
+        corruptions by this plan, and the file content.  Damaged
+        arrays are the file's logical (decoded) arrays, and the file is
+        rewritten through the plan-file codec, so every member keeps
+        the stored / deflated / bit-packed encoding the loader sees in
+        real files.
         """
         path = Path(path)
         if mode not in FILE_FAULT_MODES:
@@ -266,8 +271,7 @@ class FaultPlan:
                 mode=mode, path=str(path),
                 detail=f"kept {keep} of {len(raw)} bytes",
             )
-        with np.load(path) as data:
-            arrays = {k: np.asarray(data[k]) for k in data.files}
+        arrays = _read_npz(path)
         if mode == "bit-flip":
             candidates = _corruptible_keys(arrays)
             if not candidates:
@@ -296,7 +300,7 @@ class FaultPlan:
             key = "format_version"
             arrays[key] = np.int64(1)
             detail = "rewound format_version to 1"
-        np.savez_compressed(path, **arrays)
+        _write_npz(path, arrays)
         return InjectedFileFault(mode=mode, path=str(path), key=key,
                                  detail=detail)
 

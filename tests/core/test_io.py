@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.io import FORMAT_VERSION, load_plan, save_plan
+from repro.core.io import (
+    FORMAT_VERSION,
+    _read_npz,
+    _write_npz,
+    load_plan,
+    save_plan,
+)
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import ValidationError
 from repro.machine.params import MachineParams
@@ -106,10 +112,9 @@ class TestErrors:
     def test_version_mismatch_rejected(self, plan, tmp_path):
         path = tmp_path / "plan.npz"
         save_plan(path, plan)
-        with np.load(path) as data:
-            contents = {k: data[k] for k in data.files}
-        contents["format_version"] = np.int64(FORMAT_VERSION + 1)
-        np.savez_compressed(path, **contents)
+        _rewrite(path, lambda c: c.update(
+            format_version=np.int64(FORMAT_VERSION + 1)
+        ))
         with pytest.raises(ValidationError):
             load_plan(path)
 
@@ -117,22 +122,22 @@ class TestErrors:
         """A tampered s array must fail verification at load."""
         path = tmp_path / "plan.npz"
         save_plan(path, plan)
-        with np.load(path) as data:
-            contents = {k: data[k] for k in data.files}
-        s1 = contents["op0.s"].copy()
-        s1[0, 0], s1[0, 1] = s1[0, 1], s1[0, 0]
-        contents["op0.s"] = s1
-        np.savez_compressed(path, **contents)
+
+        def swap(contents):
+            s1 = contents["op0.s"].copy()
+            s1[0, 0], s1[0, 1] = s1[0, 1], s1[0, 0]
+            contents["op0.s"] = s1
+        _rewrite(path, swap)
         from repro.errors import ReproError
         with pytest.raises(ReproError):
             load_plan(path)
 
 
 def _rewrite(path, mutate):
-    with np.load(path) as data:
-        contents = {k: data[k] for k in data.files}
+    """Apply ``mutate`` to the logical arrays; rewrite via the codec."""
+    contents = _read_npz(path)
     mutate(contents)
-    np.savez_compressed(path, **contents)
+    _write_npz(path, contents)
 
 
 class TestCertificate:

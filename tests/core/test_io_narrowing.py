@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.io import _narrow_index_array, load_plan, save_plan
+from repro.core.io import (
+    _narrow_index_array,
+    _read_npz,
+    _write_npz,
+    load_plan,
+    save_plan,
+)
 from repro.ir.registry import get_engine
 from repro.permutations.named import random_permutation
 
@@ -95,10 +101,10 @@ class TestNarrowedRoundtrip:
 
         path = tmp_path / "plan.npz"
         save_plan(path, self._plan(engine))
-        arrays = dict(np.load(path, allow_pickle=False))
+        arrays = _read_npz(path)
         sidecars = [k for k in arrays if k.endswith(".dtype")]
         assert sidecars, "expected at least one narrowed array"
         arrays[sidecars[0]] = np.str_("int16")
-        np.savez_compressed(path, **arrays)
+        _write_npz(path, arrays)
         with pytest.raises(PlanCorruptionError):
             load_plan(path)

@@ -1,5 +1,5 @@
-"""Tests for the checksummed plan-file format (format version 3,
-with version-2 migration coverage)."""
+"""Tests for the checksummed plan-file format (format version 4,
+with version-2 migration coverage) and its bit-packed members."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from repro.core.io import (
     FORMAT_VERSION,
     METADATA_KEYS,
     PAYLOAD_KEYS,
+    _read_npz,
+    _write_npz,
     load_plan,
     plan_checksum,
     save_plan,
@@ -21,7 +23,9 @@ from repro.errors import (
     PlanVersionError,
     ValidationError,
 )
+from repro.ir.registry import get_engine
 from repro.permutations.named import random_permutation
+from repro.resilience import FILE_FAULT_MODES, FaultPlan
 
 
 @pytest.fixture
@@ -39,37 +43,35 @@ def saved(plan, tmp_path):
 
 
 def _resave(path, mutate):
-    """Reload the raw arrays, apply ``mutate``, write back."""
-    with np.load(path) as data:
-        arrays = {k: np.asarray(data[k]) for k in data.files}
+    """Reload the logical arrays, apply ``mutate``, write back through
+    the plan-file codec."""
+    arrays = _read_npz(path)
     mutate(arrays)
-    np.savez_compressed(path, **arrays)
+    _write_npz(path, arrays)
+
+
+def _payload(path):
+    return {
+        k: v for k, v in _read_npz(path).items() if k not in METADATA_KEYS
+    }
 
 
 class TestFormat:
-    def test_format_version_is_3(self):
-        assert FORMAT_VERSION == 3
+    def test_format_version_is_4(self):
+        assert FORMAT_VERSION == 4
 
     def test_file_carries_stamps(self, saved):
-        with np.load(saved) as data:
-            assert int(data["format_version"]) == 3
-            assert str(data["library_version"]) == repro.__version__
-            assert str(data["engine"]) == "scheduled"
-            assert int(data["num_ops"]) == 5
-            checksum = str(data["checksum"])
-            arrays = {
-                k: np.asarray(data[k])
-                for k in data.files if k not in METADATA_KEYS
-            }
+        data = _read_npz(saved)
+        assert int(data["format_version"]) == 4
+        assert str(data["library_version"]) == repro.__version__
+        assert str(data["engine"]) == "scheduled"
+        assert int(data["num_ops"]) == 5
+        checksum = str(data["checksum"])
         assert len(checksum) == 64          # SHA-256 hex
-        assert plan_checksum(arrays) == checksum
+        assert plan_checksum(_payload(saved)) == checksum
 
     def test_checksum_covers_every_payload_key(self, saved):
-        with np.load(saved) as data:
-            arrays = {
-                k: np.asarray(data[k])
-                for k in data.files if k not in METADATA_KEYS
-            }
+        arrays = _payload(saved)
         base = plan_checksum(arrays)
         for key in arrays:
             mutated = dict(arrays)
@@ -83,11 +85,7 @@ class TestFormat:
 
     def test_checksum_covers_the_key_set_itself(self, saved):
         """Dropping a key changes the digest even if no bytes change."""
-        with np.load(saved) as data:
-            arrays = {
-                k: np.asarray(data[k])
-                for k in data.files if k not in METADATA_KEYS
-            }
+        arrays = _payload(saved)
         base = plan_checksum(arrays)
         smaller = dict(arrays)
         del smaller["op0.gamma"]
@@ -216,6 +214,106 @@ class TestVersioning:
         _resave(saved, make_v1)
         with pytest.raises(PlanVersionError):
             load_plan(saved)
+
+
+def _raw(path):
+    """The archive's members as stored (packed bytes and specs)."""
+    with np.load(path) as data:
+        return {k: np.asarray(data[k]) for k in data.files}
+
+
+def _flip(arr, bit):
+    buf = bytearray(arr.tobytes())
+    buf[bit // 8] ^= 1 << (bit % 8)
+    return np.frombuffer(bytes(buf), dtype=arr.dtype).reshape(arr.shape)
+
+
+@pytest.fixture
+def packed(tmp_path):
+    """A v4 plan whose index arrays the writer bit-packs: n = 4093
+    values of 12 bits leave 4 zero pad bits in the last byte."""
+    plan = get_engine("cpu-naive").plan(
+        random_permutation(4093, seed=1), width=32
+    )
+    path = tmp_path / "packed.npz"
+    save_plan(path, plan)
+    raw = _raw(path)
+    assert "p.bitpacked" in raw and "p.bitspec" in raw
+    assert "p" not in raw
+    return path
+
+
+class TestPackedMembers:
+    def test_packed_plan_round_trips(self, packed):
+        plan = load_plan(packed)
+        assert np.array_equal(
+            plan.p, random_permutation(4093, seed=1)
+        )
+
+    def test_data_bit_flip_rejected(self, packed):
+        raw = _raw(packed)
+        raw["p.bitpacked"] = _flip(raw["p.bitpacked"], 5)
+        np.savez(packed, **raw)
+        with pytest.raises(PlanCorruptionError, match="checksum"):
+            load_plan(packed)
+
+    def test_pad_bit_flip_rejected(self, packed):
+        raw = _raw(packed)
+        data = raw["p.bitpacked"]
+        assert (4093 * 12) % 8 == 4            # four pad bits
+        raw["p.bitpacked"] = _flip(data, 8 * data.size - 1)
+        np.savez(packed, **raw)
+        with pytest.raises(PlanCorruptionError, match="pad bits"):
+            load_plan(packed)
+
+    def test_every_spec_bit_flip_rejected(self, packed):
+        raw = _raw(packed)
+        spec = raw["p.bitspec"]
+        for bit in range(8 * spec.dtype.itemsize):
+            np.savez(packed, **{**raw, "p.bitspec": _flip(spec, bit)})
+            with pytest.raises(PlanCorruptionError):
+                load_plan(packed)
+
+    def test_deleted_spec_rejected(self, packed):
+        raw = _raw(packed)
+        del raw["p.bitspec"]
+        np.savez(packed, **raw)
+        with pytest.raises(PlanCorruptionError, match="no bit-packing"):
+            load_plan(packed)
+
+    def test_orphan_spec_rejected(self, packed):
+        raw = _raw(packed)
+        del raw["p.bitpacked"]
+        np.savez(packed, **raw)
+        with pytest.raises(PlanCorruptionError, match="no packed"):
+            load_plan(packed)
+
+    def test_spec_claiming_more_bits_rejected(self, packed):
+        raw = _raw(packed)
+        raw["p.bitspec"] = np.asarray(np.bytes_(
+            bytes(raw["p.bitspec"].item()).replace(b'"bits": 12',
+                                                   b'"bits": 13')
+        ))
+        np.savez(packed, **raw)
+        with pytest.raises(PlanCorruptionError, match="bytes"):
+            load_plan(packed)
+
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    @pytest.mark.parametrize("engine", ["cpu-naive", "scheduled"])
+    def test_fault_plan_modes_detected(self, mode, engine, tmp_path):
+        n = 4093 if engine == "cpu-naive" else 4096
+        path = tmp_path / "plan.npz"
+        save_plan(path, get_engine(engine).plan(
+            random_permutation(n, seed=1), width=32
+        ))
+        assert any(k.endswith(".bitpacked") for k in _raw(path))
+        FaultPlan(seed=3).corrupt_plan_file(path, mode)
+        with pytest.raises(PlanIntegrityError):
+            load_plan(path)
+
+    def test_fault_plan_rewrite_keeps_packed_layout(self, packed):
+        FaultPlan(seed=3).corrupt_plan_file(packed, "bit-flip")
+        assert any(k.endswith(".bitpacked") for k in _raw(packed))
 
 
 class TestHierarchy:

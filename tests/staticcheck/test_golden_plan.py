@@ -11,11 +11,16 @@ certificate):
   caches written before the level-synchronous colouring must still
   load, certify and permute.
 * ``tests/data/golden_plan_levelsync.npz`` was written by the
-  level-synchronous colouring.  It pins planning determinism:
+  level-synchronous colouring in the version-3 layout (every member
+  deflated by ``np.savez_compressed``).  It pins planning determinism:
   re-planning the same seed must reproduce the stored schedule bit for
   bit.
+
+Both files' bytes are pinned: later format versions must read them as
+they are, never regenerate them.
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,25 @@ from repro.staticcheck import certify_plan
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN = DATA / "golden_plan.npz"
 GOLDEN_LEVELSYNC = DATA / "golden_plan_levelsync.npz"
+
+GOLDEN_SHA256 = {
+    GOLDEN: "cd9395eb758d90ee2ed76852a8e16a95808bac8c2da15cc79760846021d8cbed",
+    GOLDEN_LEVELSYNC: (
+        "d7960b02f6e7ef1c998a4d606e0bd1c45943db5a18bd927ea9dc5b335610d428"
+    ),
+}
+
+
+def test_golden_plan_bytes_unchanged():
+    for path, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_golden_plan_format_versions():
+    with np.load(GOLDEN) as data:
+        assert int(data["format_version"]) == 2
+    with np.load(GOLDEN_LEVELSYNC) as data:
+        assert int(data["format_version"]) == 3
 
 
 def test_golden_plan_loads_with_certificate():
@@ -60,6 +84,16 @@ def test_golden_plan_matches_fresh_planning():
 
 def test_golden_plan_still_permutes():
     plan = load_plan(GOLDEN)
+    a = np.arange(256.0)
+    expected = np.empty_like(a)
+    expected[plan.p] = a
+    assert np.array_equal(plan.apply(a), expected)
+
+
+def test_levelsync_golden_recertifies_and_permutes():
+    plan = load_plan(GOLDEN_LEVELSYNC)
+    assert certify_plan(plan).rounds == plan.certificate.rounds
+    assert plan.semantic_certificate is not None
     a = np.arange(256.0)
     expected = np.empty_like(a)
     expected[plan.p] = a
