@@ -368,6 +368,14 @@ def cmd_verify_plan(args) -> str:
             "certificate: not applicable (engine has no scheduled "
             "core); program verified against its permutation instead"
         )
+    semantic = getattr(plan, "semantic_certificate", None)
+    if semantic is not None:
+        cert_line += (
+            f"\nsemantics: {semantic.summary()}; re-proved on load "
+            "(denotation recomputed from the stored program)"
+        )
+    else:
+        cert_line += "\nsemantics: none embedded"
     from repro.core.io import read_plan_provenance
 
     provenance = read_plan_provenance(args.path)

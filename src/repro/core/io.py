@@ -182,6 +182,16 @@ _PROBE_BYTES = 16 * 1024
 #: would pay milliseconds of deflate to save almost nothing.
 _DEFLATE_CUTOFF = 0.9
 
+#: A deflated member whose probe ratio is at least this is deflated at
+#: zlib level 1 rather than NumPy's level 6.  Members this close to
+#: random barely deflate at either level: a random 2^16 plan's
+#: ``op*.s`` arrays probe at ~0.83, and level 6 saves ~0.3% of their
+#: bytes for ~3x the time.  Below it, level 6 pays: the ``gamma``/``t``
+#: arrays of a 2^20 bit-reversal plan (probing at 0.55-0.61) and the
+#: delta-encoded sidecars of 2^18-2^20 affine permutations (0.52-0.59)
+#: deflate 8-50% smaller at level 6 than at level 1.
+_FAST_DEFLATE_RATIO = 0.75
+
 #: Member-name suffixes of a bit-packed array: the packed bytes and the
 #: JSON spec (``bits``, ``dtype``, ``shape``) that decodes them.
 _PACKED_SUFFIX = ".bitpacked"
@@ -222,27 +232,31 @@ def _npy_header(arr: np.ndarray) -> bytes:
 
 
 def _encoding(arr: np.ndarray) -> tuple[str, int, float]:
-    """How to store ``arr``: ``("deflate" | "pack" | "store", bits to
-    pack with, estimated member bytes)``.
+    """How to store ``arr``: ``("deflate" | "pack" | "store", the
+    encoding's parameter, estimated member bytes)``, the parameter being
+    the zlib level to deflate at, the bits to pack with, or 0.
 
     The deflate ratio comes from a level-1 probe of the member's first
     :data:`_PROBE_BYTES` (``.npy`` header included, which decides small
     members); the packing size adds the spec member's
     :data:`_SPEC_BYTES`.  Deflate wins when it is the smaller estimate
-    and below :data:`_DEFLATE_CUTOFF` of the plain size; otherwise an
-    unsigned array whose values use fewer bits than its dtype is
-    bit-packed; anything else is stored as-is.
+    and below :data:`_DEFLATE_CUTOFF` of the plain size — at level 1
+    when the ratio is at least :data:`_FAST_DEFLATE_RATIO`, else level
+    6; failing that, an unsigned array whose values use fewer bits than
+    its dtype is bit-packed; anything else is stored as-is.
     """
     header = _npy_header(arr)
     plain = len(header) + arr.nbytes
     flat = np.ascontiguousarray(arr).reshape(-1)
     head = header + flat[: -(-_PROBE_BYTES // flat.itemsize)].tobytes()
-    deflated = plain * len(zlib.compress(head, 1)) / len(head)
+    ratio = len(zlib.compress(head, 1)) / len(head)
+    deflated = plain * ratio
     bits = _packed_bits(arr)
     packed = (len(header) + -(-arr.size * bits // 8) + _SPEC_BYTES
               if bits else plain)
     if deflated < min(packed, _DEFLATE_CUTOFF * plain):
-        return "deflate", 0, deflated
+        return ("deflate", 1 if ratio >= _FAST_DEFLATE_RATIO else 6,
+                deflated)
     if packed < plain:
         return "pack", bits, packed
     return "store", 0, plain
@@ -313,9 +327,17 @@ def _spec_bytes(bits: int, dtype: np.dtype, shape: tuple) -> bytes:
 
 
 def _write_member(zf: zipfile.ZipFile, name: str, arr: np.ndarray,
-                  compression: int) -> None:
+                  compression: int, level: int | None = None) -> None:
+    """Write ``arr`` as member ``name.npy``, streamed at the default
+    level, or whole at zlib ``level`` (``writestr`` is the public way
+    to pick one)."""
     info = zipfile.ZipInfo(name + ".npy")
     info.compress_type = compression
+    if level is not None:
+        buf = BytesIO()
+        np.lib.format.write_array(buf, arr, allow_pickle=False)
+        zf.writestr(info, buf.getbuffer(), compresslevel=level)
+        return
     with zf.open(info, "w", force_zip64=arr.nbytes >= _ZIP64_BYTES) as fh:
         np.lib.format.write_array(fh, arr, allow_pickle=False)
 
@@ -323,8 +345,9 @@ def _write_member(zf: zipfile.ZipFile, name: str, arr: np.ndarray,
 def _write_npz(path, arrays: dict) -> None:
     """Write ``arrays`` to ``path`` as an ``.npz`` that ``np.load`` can
     open, choosing per member (:func:`_encoding`) between
-    ``ZIP_DEFLATED`` (NumPy's default level 6), bit-packed
-    ``ZIP_STORED`` and plain ``ZIP_STORED``.
+    ``ZIP_DEFLATED`` (level 1 for members that barely deflate, NumPy's
+    default level 6 otherwise), bit-packed ``ZIP_STORED`` and plain
+    ``ZIP_STORED``.
 
     A packed member ``key`` becomes two members: ``key.bitpacked``
     (the :func:`_pack_bits` stream) and ``key.bitspec`` (its JSON
@@ -334,18 +357,19 @@ def _write_npz(path, arrays: dict) -> None:
     with zipfile.ZipFile(Path(path), "w", allowZip64=True) as zf:
         for key, value in arrays.items():
             arr = np.asarray(value)
-            how, bits, _ = _encoding(arr)
+            how, param, _ = _encoding(arr)
             if how == "pack":
-                spec = _spec_bytes(bits, arr.dtype, arr.shape)
+                spec = _spec_bytes(param, arr.dtype, arr.shape)
                 _write_member(zf, key + _SPEC_SUFFIX,
                               np.asarray(np.bytes_(spec)),
                               zipfile.ZIP_DEFLATED)
                 _write_member(zf, key + _PACKED_SUFFIX,
-                              _pack_bits(arr, bits), zipfile.ZIP_STORED)
+                              _pack_bits(arr, param), zipfile.ZIP_STORED)
+            elif how == "deflate":
+                _write_member(zf, key, arr, zipfile.ZIP_DEFLATED,
+                              level=1 if param == 1 else None)
             else:
-                _write_member(zf, key, arr,
-                              zipfile.ZIP_DEFLATED if how == "deflate"
-                              else zipfile.ZIP_STORED)
+                _write_member(zf, key, arr, zipfile.ZIP_STORED)
 
 
 def _unpack_member(path, key: str, data: np.ndarray,
@@ -562,7 +586,8 @@ def _certifiable_plan(plan: Any) -> ScheduledPermutation | None:
 
 
 def save_plan(path, plan, certify: bool = True,
-              provenance: dict | None = None) -> None:
+              provenance: dict | None = None,
+              semantic_certificate: Any | None = None) -> str:
     """Serialise a planned engine to ``path`` (.npz, format v4).
 
     ``plan`` may be any registered engine instance (its class carries
@@ -586,6 +611,17 @@ def save_plan(path, plan, certify: bool = True,
     to re-verify.  A program that fails its own denotation proof also
     raises :class:`~repro.errors.CertificateError` unwritten.  Pass
     ``certify=False`` to write a bare (still checksummed) file.
+
+    A caller that has already proved the program — the planner, whose
+    compile denoted it — passes that proof as ``semantic_certificate``
+    (:func:`~repro.staticcheck.semantics.validate_translation` of the
+    lowered program against itself and ``plan.p``).  It is embedded
+    only if it is positive and matches this plan: its
+    ``requested_sha`` digests ``plan.p`` and its n, width, engine and
+    op counts are the lowered program's; anything else is ignored and
+    the program is denoted here as usual.
+
+    Returns the payload checksum, which a sealed sidecar binds to.
 
     ``provenance`` optionally records the planner's compile context —
     :data:`PROVENANCE_KEYS` only (the pass-pipeline signature and the
@@ -636,9 +672,10 @@ def save_plan(path, plan, certify: bool = True,
         if certify:
             from repro.staticcheck.semantics import validate_translation
 
-            sem = validate_translation(
-                program, program, requested=plan.p
-            ).bound_to(checksum)
+            sem = _reusable_semantic_certificate(
+                semantic_certificate, program, plan.p
+            ) or validate_translation(program, program, requested=plan.p)
+            sem = sem.bound_to(checksum)
             if not sem.ok:
                 raise CertificateError(
                     f"refusing to save {path}: program does not denote "
@@ -655,6 +692,35 @@ def save_plan(path, plan, certify: bool = True,
                certified="certificate" in extra,
                semantically_certified="semantic_certificate" in extra)
         telemetry.count("plan_io_saved_total")
+    return checksum
+
+
+def _reusable_semantic_certificate(
+    cert: Any, program: KernelProgram, p: np.ndarray
+) -> Any | None:
+    """``cert`` if it is a positive raw-program certificate issued for
+    exactly this program and permutation, else ``None``."""
+    from repro.staticcheck.semantics import (
+        SemanticCertificate,
+        denotation_digest,
+    )
+
+    ops = len(program.ops)
+    if (
+        not isinstance(cert, SemanticCertificate)
+        or not cert.ok
+        or cert.matches_requested is not True
+        or cert.pipeline is not None
+        or cert.blame is not None
+        or (cert.engine, cert.n, cert.width) != (
+            program.engine, int(program.n), int(program.width))
+        or (cert.raw_ops, cert.optimized_ops) != (ops, ops)
+    ):
+        return None
+    wanted = np.asarray(p, dtype=np.int64)
+    if cert.requested_sha != denotation_digest(wanted):
+        return None
+    return cert
 
 
 def _pack_v2(plan: ScheduledPermutation) -> dict:

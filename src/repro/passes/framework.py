@@ -139,7 +139,10 @@ class PassPipeline:
         return "\n".join(lines)
 
     def run(
-        self, program: KernelProgram, validate: bool = False
+        self,
+        program: KernelProgram,
+        validate: bool = False,
+        checker: "SemanticChecker | None" = None,
     ) -> KernelProgram:
         """Optimize ``program``; the result is semantically identical
         and never costs more rounds.
@@ -152,17 +155,26 @@ class PassPipeline:
         exact pass on the attached certificate — the moment a rewrite
         changes the denoted index map.  No executor runs and no payload
         moves in either mode.
+
+        A caller that wants the proof itself passes its own ``checker``
+        (a :class:`~repro.staticcheck.semantics.SemanticChecker` built
+        over ``program``; it implies ``validate``) and afterwards reads
+        the raw and optimized denotations off it.
         """
-        optimized, _changes = self.explain(program, validate=validate)
+        optimized, _changes = self.explain(
+            program, validate=validate, checker=checker
+        )
         return optimized
 
     def explain(
-        self, program: KernelProgram, validate: bool = False
+        self,
+        program: KernelProgram,
+        validate: bool = False,
+        checker: "SemanticChecker | None" = None,
     ) -> tuple[KernelProgram, list[PassChange]]:
         """Like :meth:`run`, but also return the per-pass diff."""
         program.validate()
-        checker = None
-        if validate:
+        if validate and checker is None:
             # Deferred import: repro.staticcheck.semantics depends on
             # the IR only, but the staticcheck package as a whole pulls
             # in layers that import this module.

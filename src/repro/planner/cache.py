@@ -364,14 +364,19 @@ class DiskPlanCache:
         fingerprint: str,
         plan: Any,
         pipeline_signature: str,
-    ) -> Path:
-        """Persist ``plan`` under its fingerprint, atomically.
+        semantic_certificate: Any | None = None,
+    ) -> str:
+        """Persist ``plan`` under its fingerprint, atomically; returns
+        the payload checksum the write computed (what a sealed sidecar
+        binds to).
 
         The plan is written to a temporary sibling and moved into
         place with :func:`os.replace`, so a concurrent reader (or a
         writer crash) can observe the old entry or the new one but
         never a truncated ``.npz`` that the corruption path would have
-        to heal on every later load.
+        to heal on every later load.  ``semantic_certificate`` is
+        forwarded to :func:`~repro.core.io.save_plan`: the caller's
+        proof of the raw program, reused when it matches the plan.
         """
         from repro.core.io import save_plan
 
@@ -383,20 +388,21 @@ class DiskPlanCache:
             ".tmp.npz"
         )
         try:
-            save_plan(
+            checksum = save_plan(
                 tmp,
                 plan,
                 provenance={
                     "pipeline": pipeline_signature,
                     "fingerprint": fingerprint,
                 },
+                semantic_certificate=semantic_certificate,
             )
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
         self._disk["stores"].inc()
         self._account(fingerprint)
-        return path
+        return checksum
 
     # -- sealed sidecars -----------------------------------------------
 

@@ -20,12 +20,12 @@ import threading
 import time
 from collections.abc import Callable
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import SemanticValidationError
+from repro.errors import CertificateError, SemanticValidationError
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 from repro.ir.sealed import SealedProgram
@@ -38,6 +38,7 @@ from repro.planner.fingerprint import (
 )
 from repro.staticcheck.semantics import (
     SemanticCertificate,
+    SemanticChecker,
     validate_translation,
 )
 from repro.telemetry import MetricsRegistry
@@ -49,6 +50,23 @@ if TYPE_CHECKING:
 #: What a lazy handle's loader returns: the planned engine, its
 #: optimized program, and the translation-validation certificate.
 _Loaded = tuple[Any, KernelProgram, "SemanticCertificate | None"]
+
+
+class _Proof(NamedTuple):
+    """What one validated optimization proved.
+
+    ``program`` is the program to serve (the optimized one, or the raw
+    one when the optimization was refuted), ``certificate`` its
+    translation certificate, ``proven`` whether the optimization was,
+    and ``raw_certificate`` the raw program's own proof against the
+    requested permutation — the certificate a plan file embeds (issued
+    only when the plan is to be persisted, or as the fallback proof).
+    """
+
+    program: KernelProgram
+    certificate: SemanticCertificate
+    proven: bool
+    raw_certificate: SemanticCertificate | None
 
 
 class CompiledPermutation:
@@ -455,20 +473,17 @@ class Planner:
                 self.disk.load(fp) if self.disk is not None else None
             )
             if plan is not None:
-                tier = "disk"
+                tier, plan_sha = "disk", None
+                proof = self._optimize_validated(plan)
             else:
-                with telemetry.span("planner.plan", engine=engine):
-                    plan = get_engine(engine).plan(
-                        p, width=width,
-                        backend=backend or self.backend,
-                    )
-                self._cold_plans.inc()
                 tier = "cold"
-                if self.disk is not None:
-                    self.disk.store(fp, plan,
-                                    self.pipeline.signature())
-            program, cert, proven = self._optimize_validated(plan)
-            sealed = self._seal(plan, program, cert) if proven else None
+                plan, proof, plan_sha = self._plan_cold(
+                    fp, p, engine, width, backend
+                )
+            program, cert = proof.program, proof.certificate
+            sealed = (
+                self._seal(plan, program, cert) if proof.proven else None
+            )
             compiled = CompiledPermutation(
                 engine=plan,
                 program=program,
@@ -477,11 +492,39 @@ class Planner:
                 semantic_certificate=cert,
                 sealed=sealed,
             )
-            if proven:
+            if proof.proven:
                 self.memory.put(fp, compiled)
                 if self.disk is not None and sealed is not None:
-                    self._store_sealed(fp, sealed)
+                    self._store_sealed(fp, sealed, plan_sha)
             return compiled, tier
+
+    def _plan_cold(
+        self,
+        fp: str,
+        p: np.ndarray,
+        engine: str,
+        width: int,
+        backend: str | None,
+    ) -> tuple[Any, "_Proof", str | None]:
+        """Plan ``p`` from scratch, prove it, and persist it when the
+        planner has a disk tier; returns the plan, its proof, and the
+        checksum the plan write computed (``None`` if nothing was
+        written)."""
+        with telemetry.span("planner.plan", engine=engine):
+            plan = get_engine(engine).plan(
+                p, width=width, backend=backend or self.backend,
+            )
+        self._cold_plans.inc()
+        proof = self._optimize_validated(
+            plan, persisting=self.disk is not None
+        )
+        plan_sha = None
+        if self.disk is not None:
+            plan_sha = self.disk.store(
+                fp, plan, self.pipeline.signature(),
+                semantic_certificate=proof.raw_certificate,
+            )
+        return plan, proof, plan_sha
 
     def _seal(
         self,
@@ -511,18 +554,21 @@ class Planner:
         return sealed
 
     def _store_sealed(
-        self, fp: str, sealed: SealedProgram
+        self, fp: str, sealed: SealedProgram, plan_sha: str | None = None
     ) -> None:
         """Persist the sealed sidecar, bound to its plan file's
-        payload checksum (read back cheaply from the just-stored v3
-        entry)."""
+        payload checksum: ``plan_sha`` when the caller just wrote the
+        plan (the checksum its write computed), else read back cheaply
+        from the v3 entry on disk."""
         assert self.disk is not None
         from repro.core.io import read_plan_checksum
         from repro.errors import PlanIntegrityError
 
         sealed.meta["fingerprint"] = fp
         plan_path = self.disk.path_for(fp)
-        if plan_path.exists():
+        if plan_sha is not None:
+            sealed.meta["plan_sha"] = plan_sha
+        elif plan_path.exists():
             try:
                 sealed.meta["plan_sha"] = read_plan_checksum(plan_path)
             except PlanIntegrityError:
@@ -550,20 +596,13 @@ class Planner:
                 self.disk.load(fp) if self.disk is not None else None
             )
             if plan is None:
-                with telemetry.span(
-                    "planner.plan", engine=sealed.engine
-                ):
-                    plan = get_engine(sealed.engine).plan(
-                        sealed.scatter,
-                        width=sealed.width,
-                        backend=backend or self.backend,
-                    )
-                self._cold_plans.inc()
-                if self.disk is not None:
-                    self.disk.store(fp, plan,
-                                    self.pipeline.signature())
-            program, cert, _proven = self._optimize_validated(plan)
-            return plan, program, cert
+                plan, proof, _sha = self._plan_cold(
+                    fp, sealed.scatter, sealed.engine, sealed.width,
+                    backend,
+                )
+            else:
+                proof = self._optimize_validated(plan)
+            return plan, proof.program, proof.certificate
 
         return CompiledPermutation(
             engine=None,
@@ -601,8 +640,8 @@ class Planner:
         return compiled, sharded
 
     def _optimize_validated(
-        self, plan: Any
-    ) -> tuple[KernelProgram, SemanticCertificate, bool]:
+        self, plan: Any, persisting: bool = False
+    ) -> "_Proof":
         """Optimize a plan's program under translation validation.
 
         Runs the pipeline in ``validate=True`` mode and certifies the
@@ -613,18 +652,37 @@ class Planner:
         served instead, ``planner_semantic_rejections_total{blame=}``
         is bumped, and the returned ``proven`` flag is False so
         callers refuse to cache (or seal) the handle.
+
+        Each program is denoted once: the pipeline's checker denotes
+        the raw program and every rewrite, and those denotations feed
+        both the translation certificate and the raw program's own
+        certificate (``raw_certificate``, what the plan writer embeds).
+        With ``persisting`` the raw certificate is always issued, and
+        a raw program that fails its own proof raises
+        :class:`~repro.errors.CertificateError`, as the plan writer
+        would refusing to persist it.
         """
         raw = plan.lower()
         requested = np.asarray(plan.p)
         signature = self.pipeline.signature()
+        checker: SemanticChecker | None = None
         try:
-            optimized = self.pipeline.run(raw, validate=True)
+            checker = SemanticChecker(raw)
+            optimized = self.pipeline.run(raw, checker=checker)
             cert = validate_translation(
                 raw, optimized, requested=requested,
                 pipeline_signature=signature,
+                raw_denotation=checker.base,
+                optimized_denotation=checker.final,
             )
             if cert.ok:
-                return optimized, cert, True
+                raw_cert: SemanticCertificate | None = None
+                if persisting:
+                    raw_cert = validate_translation(
+                        raw, raw, requested=requested,
+                        raw_denotation=checker.base,
+                    )
+                return _Proof(optimized, cert, True, raw_cert)
         except SemanticValidationError as exc:
             cert = exc.certificate
         blame = getattr(cert, "blame", None) or "<pipeline>"
@@ -634,16 +692,23 @@ class Planner:
         # Fall back to the raw program — still proved against the
         # requested permutation, because an unproven optimization must
         # degrade to slower, never to wrong.
-        fallback = validate_translation(raw, raw, requested=requested)
+        fallback = validate_translation(
+            raw, raw, requested=requested,
+            raw_denotation=None if checker is None else checker.base,
+        )
         if not fallback.ok:
-            raise SemanticValidationError(
+            message = (
                 f"lowered program of engine "
                 f"{getattr(type(plan), 'engine_name', '?')!r} does not "
                 f"denote the requested permutation: "
-                f"{fallback.summary()}",
-                certificate=fallback,
+                f"{fallback.summary()}"
             )
-        return raw, fallback, False
+            if persisting:
+                raise CertificateError(
+                    f"refusing to persist the plan: {message}"
+                )
+            raise SemanticValidationError(message, certificate=fallback)
+        return _Proof(raw, fallback, False, fallback)
 
     def _flight(self, fingerprint: str) -> threading.Lock:
         """The single-flight lock serialising cold compiles of one
@@ -680,7 +745,7 @@ class Planner:
         plan = self.disk.load(fingerprint)
         if plan is None:
             return False
-        program, cert, proven = self._optimize_validated(plan)
+        program, cert, proven, _raw = self._optimize_validated(plan)
         if not proven:
             # An unproven optimization must not be pinned in memory.
             return False

@@ -368,24 +368,30 @@ class _GuardedDiskCache:
         return plan
 
     def store(
-        self, fingerprint: str, plan: Any, pipeline_signature: str
-    ) -> Any:
-        path = self._inner.path_for(fingerprint)
+        self,
+        fingerprint: str,
+        plan: Any,
+        pipeline_signature: str,
+        semantic_certificate: Any | None = None,
+    ) -> str | None:
+        """The inner store's payload checksum, or ``None`` when the
+        breaker bypassed the write or it failed (nothing written)."""
         if not self.breaker.allow():
             self._bypassed.inc()
-            return path
+            return None
         try:
-            path = self._inner.store(
-                fingerprint, plan, pipeline_signature
+            checksum = self._inner.store(
+                fingerprint, plan, pipeline_signature,
+                semantic_certificate=semantic_certificate,
             )
         except OSError:
             # A failed persist must not fail the request being served;
             # the plan lives on in the memory tier.
             self.breaker.record_failure()
             self._store_failed.inc()
-            return path
+            return None
         self.breaker.record_success()
-        return path
+        return str(checksum)
 
     def load_sealed(self, fingerprint: str) -> Any:
         if not self.breaker.allow():

@@ -39,7 +39,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import StaticCheckError
-from repro.ir.ops import GatherScatter, Pad, RowwiseScatter, Slice, Transpose
+from repro.ir.ops import (
+    GatherScatter,
+    KernelOp,
+    Pad,
+    RowwiseScatter,
+    Slice,
+    Transpose,
+)
 from repro.machine.requests import AccessRound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,6 +204,15 @@ def _op_accesses(op) -> Iterator[_Access]:
     )
 
 
+def op_rounds(op: KernelOp, start: int = 0) -> list[StaticRound]:
+    """The access rounds of one regular IR op, labelled with the op's
+    label and numbered from ``start`` (``[]`` for ``pad``/``slice``;
+    irregular ops raise :class:`StaticCheckError`)."""
+    if isinstance(op, (Pad, Slice)):
+        return []
+    return _materialise(op.label, _op_accesses(op), start)
+
+
 def program_rounds(program: "KernelProgram") -> tuple[StaticRound, ...]:
     """Derive the access rounds of a lowered kernel program.
 
@@ -208,12 +224,23 @@ def program_rounds(program: "KernelProgram") -> tuple[StaticRound, ...]:
     """
     rounds: list[StaticRound] = []
     for op in program.ops:
-        if isinstance(op, (Pad, Slice)):
-            continue
-        rounds.extend(
-            _materialise(op.label, _op_accesses(op), start=len(rounds))
-        )
+        rounds.extend(op_rounds(op, start=len(rounds)))
     return tuple(rounds)
+
+
+#: Rounds of the paper's five-kernel scheduled program.
+PAPER_ROUNDS = 32
+
+
+def require_paper_rounds(count: int) -> None:
+    """Refuse a scheduled plan whose kernels do not add up to the
+    paper's :data:`PAPER_ROUNDS` rounds."""
+    if count != PAPER_ROUNDS:
+        raise StaticCheckError(
+            f"expected {PAPER_ROUNDS} static rounds, derived {count} — "
+            "the plan's kernel structure does not match the paper's "
+            "program"
+        )
 
 
 def plan_rounds(plan: "ScheduledPermutation") -> tuple[StaticRound, ...]:
@@ -225,9 +252,5 @@ def plan_rounds(plan: "ScheduledPermutation") -> tuple[StaticRound, ...]:
     ``step3.rowwise``) and round indices run 0..31 across the program.
     """
     rounds = program_rounds(plan.lower())
-    if len(rounds) != 32:
-        raise StaticCheckError(
-            f"expected 32 static rounds, derived {len(rounds)} — the "
-            "plan's kernel structure does not match the paper's program"
-        )
+    require_paper_rounds(len(rounds))
     return rounds

@@ -15,10 +15,15 @@ address groups ``addr div w`` for global rounds.  The result is a
 colliding lanes.
 
 The analysis is deliberately implemented independently of
-:mod:`repro.machine.cost_model` (scatter-add counting here vs. bincount
-there, and addresses derived from plan arrays rather than captured from
-execution), so the differential tests compare two independent
-derivations of the same quantities.
+:mod:`repro.machine.cost_model` (addresses derived from plan arrays
+rather than captured from execution), so the differential tests
+compare two independent derivations of the same quantities; the
+counting primitives are pinned separately against scatter-add and
+sort references (``tests/staticcheck/test_certifier_counts.py``).
+
+A tiled transpose's rounds depend only on ``(m, width, diagonal)``, so
+their verdicts are memoized per shape (:func:`_tiled_transpose_verdicts`)
+— the small verdict records, never the address streams.
 
 Certificates serialise to JSON and are embedded into plan files by
 :func:`repro.core.io.save_plan`; a certificate binds itself to its plan
@@ -28,6 +33,7 @@ never vouch for a file it was not issued for.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
@@ -35,7 +41,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CertificateError, StaticCheckError
-from repro.staticcheck.access import StaticRound, plan_rounds, program_rounds
+from repro.ir.ops import KernelOp, Transpose
+from repro.staticcheck.access import (
+    StaticRound,
+    op_rounds,
+    require_paper_rounds,
+    transpose_rounds,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scheduled import ScheduledPermutation
@@ -75,13 +87,13 @@ def shared_bank_multiplicities(
     warps = _warp_matrix(addresses, width)
     if warps.size == 0:
         return np.zeros(0, dtype=np.int64)
-    banks = warps % width
-    counts = np.zeros((warps.shape[0], width), dtype=np.int64)
-    rows = np.repeat(
-        np.arange(warps.shape[0], dtype=np.int64), width
-    )
-    np.add.at(counts, (rows, banks.reshape(-1)), 1)
-    return counts.max(axis=1)
+    num_warps = warps.shape[0]
+    # One histogram over (warp, bank) cells: cell g*w + b counts warp
+    # g's lanes in bank b.
+    cells = warps % width
+    cells += np.arange(0, num_warps * width, width, dtype=np.int64)[:, None]
+    counts = np.bincount(cells.reshape(-1), minlength=num_warps * width)
+    return counts.reshape(num_warps, width).max(axis=1).astype(np.int64)
 
 
 def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
@@ -94,9 +106,15 @@ def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
     warps = _warp_matrix(addresses, width)
     if warps.size == 0:
         return np.zeros(0, dtype=np.int64)
-    groups = np.sort(warps // width, axis=1)
-    distinct = np.count_nonzero(np.diff(groups, axis=1), axis=1) + 1
-    return distinct.astype(np.int64)
+    groups = warps // width
+    distinct = np.ones(warps.shape[0], dtype=np.int64)
+    # A warp whose lowest and highest group agree touches one group;
+    # only the others need sorting to count their distinct groups.
+    spread = np.nonzero(groups.min(axis=1) != groups.max(axis=1))[0]
+    if spread.size:
+        rows = np.sort(groups[spread], axis=1)
+        distinct[spread] += np.count_nonzero(np.diff(rows, axis=1), axis=1)
+    return distinct
 
 
 @dataclass(frozen=True)
@@ -419,6 +437,25 @@ class Certificate:
         return cls.from_dict(payload)
 
 
+#: One analysed round: its verdict and, when irregular, the first
+#: offending warp.
+_Analysed = tuple[RoundVerdict, "Counterexample | None"]
+
+
+def _certificate(
+    results: list[_Analysed], width: int, n: int, m: int
+) -> Certificate:
+    """Assemble analysed rounds into a certificate, keeping the
+    *first* counterexample — in round order, the executor would hit it
+    first."""
+    counter = next((bad for _v, bad in results if bad is not None), None)
+    return Certificate(
+        n=n, m=m, width=width,
+        rounds=tuple(verdict for verdict, _bad in results),
+        counterexample=counter,
+    )
+
+
 def certify_rounds(
     rounds: tuple[StaticRound, ...] | list[StaticRound],
     width: int,
@@ -428,17 +465,56 @@ def certify_rounds(
     """Certify an explicit static round sequence (used by tests and by
     :func:`certify_plan`).  Keeps the *first* counterexample found —
     in round order, the executor would hit it first."""
-    verdicts: list[RoundVerdict] = []
-    counter: Counterexample | None = None
-    for rnd in rounds:
-        verdict, bad = analyze_round(rnd, width)
-        verdicts.append(verdict)
-        if counter is None and bad is not None:
-            counter = bad
-    return Certificate(
-        n=n, m=m, width=width, rounds=tuple(verdicts),
-        counterexample=counter,
+    return _certificate(
+        [analyze_round(rnd, width) for rnd in rounds], width, n, m
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _tiled_transpose_verdicts(
+    m: int, op_width: int, diagonal: bool, width: int
+) -> tuple[_Analysed, ...]:
+    """The analysed rounds of a tiled transpose, labelled kernel
+    ``""`` from round 0.
+
+    They depend on the shape alone, so each shape is analysed once per
+    process; only these few small records are kept, while the address
+    streams (``4 n`` int64) are dropped as soon as they are analysed.
+    """
+    from repro.core.transpose import TiledTranspose
+
+    rounds = transpose_rounds(
+        TiledTranspose(m, op_width, diagonal=diagonal), kernel=""
+    )
+    return tuple(analyze_round(rnd, width) for rnd in rounds)
+
+
+def _op_results(op: KernelOp, width: int, start: int) -> list[_Analysed]:
+    """The analysed rounds of one op, numbered from ``start``."""
+    if isinstance(op, Transpose) and op.tiled:
+        memo = _tiled_transpose_verdicts(
+            int(op.m), int(op.width), bool(op.diagonal), width
+        )
+        return [
+            (
+                replace(verdict, kernel=op.label, index=start + offset),
+                None if bad is None else replace(
+                    bad, kernel=op.label, round_index=start + offset
+                ),
+            )
+            for offset, (verdict, bad) in enumerate(memo)
+        ]
+    return [analyze_round(rnd, width) for rnd in op_rounds(op, start=start)]
+
+
+def _program_results(
+    program: "KernelProgram", width: int
+) -> list[_Analysed]:
+    """The analysed rounds of every op of ``program``, in order."""
+    results: list[_Analysed] = []
+    for op in program.ops:
+        results.extend(_op_results(op, width, start=len(results)))
+    return results
 
 
 def certify_program(program: "KernelProgram") -> Certificate:
@@ -466,8 +542,8 @@ def certify_program(program: "KernelProgram") -> Certificate:
             f"program {program.engine!r} has no machine width; cannot "
             "partition address streams into warps"
         )
-    return certify_rounds(
-        program_rounds(program), width=width, n=int(program.n), m=int(m),
+    return _certificate(
+        _program_results(program, width), width, int(program.n), int(m)
     )
 
 
@@ -480,7 +556,7 @@ def certify_plan(plan: "ScheduledPermutation") -> Certificate:
     — refusal is the caller's policy (``save_plan`` refuses, the CLI
     reports).
     """
-    return certify_rounds(
-        plan_rounds(plan), width=int(plan.width), n=int(plan.n),
-        m=int(plan.m),
-    )
+    width = int(plan.width)
+    results = _program_results(plan.lower(), width)
+    require_paper_rounds(len(results))
+    return _certificate(results, width, int(plan.n), int(plan.m))

@@ -593,6 +593,9 @@ def validate_translation(
     optimized: "KernelProgram",
     requested: np.ndarray | None = None,
     pipeline_signature: str | None = None,
+    *,
+    raw_denotation: ProgramDenotation | None = None,
+    optimized_denotation: ProgramDenotation | None = None,
 ) -> SemanticCertificate:
     """Prove ``denote(optimized) == denote(raw)`` (== ``requested``).
 
@@ -604,9 +607,28 @@ def validate_translation(
     caller: the pipeline raises, the planner refuses to cache, the
     plan writer refuses to persist).  Pass the same program twice to
     certify a single program against a requested permutation.
+
+    A caller that has already denoted a program in this compile — the
+    pipeline's :class:`SemanticChecker` denotes the raw program and
+    every rewrite — passes those denotations as ``raw_denotation`` /
+    ``optimized_denotation`` instead of paying for them again; a
+    program without one is denoted here.
     """
-    raw_den = denote_program(raw)
-    opt_den = raw_den if optimized is raw else denote_program(optimized)
+    raw_den = (
+        denote_program(raw) if raw_denotation is None else raw_denotation
+    )
+    if optimized is raw:
+        opt_den = raw_den
+    elif optimized_denotation is None:
+        opt_den = denote_program(optimized)
+    else:
+        opt_den = optimized_denotation
+    for program, den in ((raw, raw_den), (optimized, opt_den)):
+        if den.engine != program.engine or den.n != int(program.n):
+            raise StaticCheckError(
+                f"denotation of {den.engine!r} (n = {den.n}) passed "
+                f"for a {program.engine!r} program of n = {program.n}"
+            )
     cert = SemanticCertificate(
         engine=optimized.engine,
         n=int(optimized.n),
@@ -654,10 +676,18 @@ class SemanticChecker:
     :class:`~repro.errors.SemanticValidationError` — with the pass
     blamed on the certificate — the moment a rewrite changes the index
     map.  Used by ``PassPipeline.run(..., validate=True)``.
+
+    The denotations are the compile's proof, so the checker keeps two
+    of them for its caller: :attr:`base`, the input program's, and
+    :attr:`final`, that of the last rewrite it accepted (``base`` until
+    one is) — the pipeline's result, since the pipeline only ever
+    advances to an accepted rewrite.  The planner hands both to
+    :func:`validate_translation` rather than denoting either again.
     """
 
     def __init__(self, program: "KernelProgram") -> None:
         self._base = denote_program(program)
+        self._final = self._base
         self._raw_ops = len(program.ops)
         if not self._base.ok:
             cert = SemanticCertificate(
@@ -677,6 +707,17 @@ class SemanticChecker:
                 certificate=cert,
             )
 
+    @property
+    def base(self) -> ProgramDenotation:
+        """The denotation of the program the checker was built over."""
+        return self._base
+
+    @property
+    def final(self) -> ProgramDenotation:
+        """The denotation of the last rewrite :meth:`check` accepted
+        (:attr:`base` if none was)."""
+        return self._final
+
     def check(
         self, pass_name: str, rewritten: "KernelProgram"
     ) -> None:
@@ -685,6 +726,7 @@ class SemanticChecker:
             self._base.index_map, den.index_map, "optimized-vs-raw"
         )
         if failure is None:
+            self._final = den
             return
         cert = SemanticCertificate(
             engine=rewritten.engine,
