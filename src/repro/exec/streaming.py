@@ -32,10 +32,13 @@ and exchange segment bytes; a job's totals are its StreamingStats.
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -411,18 +414,47 @@ class StreamingExecutor:
         path_out: str | Path,
         tmp_dir: str | Path | None = None,
     ) -> StreamingStats:
-        """Stream every stripe of both phases sequentially."""
+        """Stream both phases, each phase's ``d`` stripes on threads.
+
+        The stripes are the paper's ``d`` DMMs working side by side:
+        ``min(d, os.cpu_count())`` threads run them (the gathers
+        release the interpreter lock), all pre stripes before any post
+        stripe, and the tiles shrink by the same factor so the
+        resident budget still holds.  A failing stripe aborts the job
+        once the stripes already running finish, and its error is
+        re-raised here.
+        """
+        threads = min(sharded.d, os.cpu_count() or 1)
         with telemetry.span(
-            "stream.run", n=sharded.n, d=sharded.d
+            "stream.run", n=sharded.n, d=sharded.d, threads=threads
         ) as sp:
-            job = self.prepare(sharded, path_in, path_out, tmp_dir)
+            job = self.prepare(
+                sharded, path_in, path_out, tmp_dir, concurrency=threads
+            )
+            tracer = telemetry.get_tracer()
+
+            def stripe(phase: str, k: int) -> None:
+                # Nest the worker's stripe span under this run's span.
+                with tracer.adopt(sp) if tracer else nullcontext():
+                    job.run_stripe(phase, k)
+
+            pool = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="repro-stream"
+            )
             try:
                 for phase in _PHASES:
-                    for k in range(sharded.d):
-                        job.run_stripe(phase, k)
+                    futures = [
+                        pool.submit(stripe, phase, k)
+                        for k in range(sharded.d)
+                    ]
+                    for future in futures:
+                        future.result()
             except BaseException as exc:
+                pool.shutdown(cancel_futures=True)
                 job.abort(str(exc))
                 raise
+            finally:
+                pool.shutdown()
             stats = job.finalize()
             sp.set(
                 tiles=stats.tiles_loaded,

@@ -443,7 +443,7 @@ class DiskPlanCache:
 
     def store_sealed(
         self, fingerprint: str, sealed: "SealedProgram"
-    ) -> Path:
+    ) -> None:
         """Persist a sealed sidecar next to its plan, atomically."""
         from repro.core.io import save_sealed
 
@@ -459,7 +459,6 @@ class DiskPlanCache:
             tmp.unlink(missing_ok=True)
         self._sealed["stores"].inc()
         self._account(fingerprint)
-        return path
 
     def stats(self) -> dict:
         with self._lock:

@@ -24,6 +24,7 @@ from repro.resilience.engine import (
     TRANSIENT_ERRORS,
     ResilientPermutation,
     backoff_delay,
+    run_ladder,
 )
 from repro.resilience.faults import (
     FILE_FAULT_MODES,
@@ -44,4 +45,5 @@ __all__ = [
     "TRANSIENT_ERRORS",
     "active_fault_plan",
     "backoff_delay",
+    "run_ladder",
 ]

@@ -25,12 +25,17 @@ Failure handling distinguishes two classes:
   retrying cannot help.
 
 Every absorbed failure lands in a structured
-:class:`~repro.resilience.reporting.FailureReport`.
+:class:`~repro.resilience.reporting.FailureReport`.  The loop itself
+is :func:`run_ladder`, the library's one retry/degrade ladder: the
+serving core (:class:`~repro.service.PermutationServer`) walks it too,
+for applies, under its per-engine circuit breakers.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from repro.core.io import load_plan
 from repro.core.selector import build_engine
 from repro.errors import (
     ColoringError,
+    DeadlineExceededError,
     FallbackExhaustedError,
     PlanIntegrityError,
     ReproError,
@@ -56,6 +62,8 @@ DEFAULT_CHAIN = ("scheduled", "padded", "d-designated")
 #: Errors worth retrying on the same engine.
 TRANSIENT_ERRORS = (ColoringError, SchedulingError)
 
+T = TypeVar("T")
+
 
 def backoff_delay(attempt: int, base: float = 0.05) -> float:
     """Deterministic exponential backoff: ``base * 2**(attempt-1)``.
@@ -64,6 +72,76 @@ def backoff_delay(attempt: int, base: float = 0.05) -> float:
     avoidance in an offline planner, and tests pin the exact schedule.
     """
     return base * (2 ** (attempt - 1))
+
+
+def run_ladder(
+    chain: Sequence[str],
+    attempt: Callable[[str, int], T],
+    report: FailureReport,
+    *,
+    stage: str,
+    max_attempts: int,
+    backoff_base: float,
+    sleep: Callable[[float], None],
+    gate: Callable[[str], Any] | None = None,
+    deadline: float | None = None,
+    clock: Callable[[], float] = time.monotonic,
+) -> tuple[str, T] | None:
+    """Walk ``chain`` until ``attempt(engine, n)`` succeeds; the one
+    retry/degrade loop of the library.
+
+    A transient error (:data:`TRANSIENT_ERRORS`) retries the same
+    engine after :func:`backoff_delay`, capped by the time left before
+    ``deadline`` (reaching it raises
+    :class:`~repro.errors.DeadlineExceededError`); any other
+    :class:`~repro.errors.ReproError` drops to the next engine.  Every
+    absorbed failure is recorded in ``report`` under ``stage``.
+    ``gate(engine)`` may return the engine's circuit breaker: a
+    refusing breaker skips the engine (``report.skipped``), every
+    outcome is recorded on it, and retries continue only while it is
+    closed.  Returns ``(engine, value)`` of the first success, or
+    ``None`` when every engine failed or was skipped.
+    """
+    for engine in chain:
+        breaker = gate(engine) if gate is not None else None
+        if breaker is not None and not breaker.allow():
+            report.skipped.append(engine)
+            continue
+        for n in range(1, max_attempts + 1):
+            if deadline is not None and clock() >= deadline:
+                raise DeadlineExceededError(
+                    "deadline expired while retrying "
+                    f"(engine {engine!r}, attempt {n})"
+                )
+            try:
+                value = attempt(engine, n)
+            except TRANSIENT_ERRORS as exc:
+                if breaker is not None:
+                    breaker.record_failure()
+                retried = n < max_attempts and (
+                    breaker is None or breaker.closed
+                )
+                report.record(stage, engine, n, exc, retried)
+                if not retried:
+                    break
+                delay = backoff_delay(n, backoff_base)
+                if deadline is not None:
+                    delay = min(delay, max(0.0, deadline - clock()))
+                if delay > 0:
+                    sleep(delay)
+            except ReproError as exc:
+                # Persistent (infeasible size, capacity wall): retrying
+                # cannot help — drop down the chain.
+                if breaker is not None:
+                    breaker.record_failure()
+                report.record(stage, engine, n, exc, retried=False)
+                break
+            else:
+                if breaker is not None:
+                    breaker.record_success()
+                report.engine_used = engine
+                return engine, value
+    return None
 
 
 class ResilientPermutation:
@@ -109,7 +187,7 @@ class ResilientPermutation:
         sleep=None,
         self_check: bool = True,
         planner=None,
-        _preload_failure: BaseException | None = None,
+        _loaded: Any = None,
     ) -> None:
         if max_attempts < 1:
             raise ResilienceError(
@@ -134,28 +212,19 @@ class ResilientPermutation:
         # it, prefixed ``resilience.``, when one is).
         self._tracer = telemetry.Tracer()
         self.metrics = telemetry.MetricsRegistry()
-        if _preload_failure is not None:
-            self.report.record("load", "plan-file", 1, _preload_failure,
-                               retried=False)
-            self._count("plan_file_rejected")
         self.engine = None
         self.choice: str | None = None
+        if isinstance(_loaded, BaseException):
+            self.report.record("load", "plan-file", 1, _loaded,
+                               retried=False)
+            self._count("plan_file_rejected")
+        elif _loaded is not None:
+            # from_plan_file's happy path: the loaded plan is the
+            # settled engine, nothing to plan.
+            self.engine = _loaded
+            self.choice = self.report.engine_used = chain[0]
+            return
         self._plan_chain(backend, chain, max_attempts, backoff_base)
-
-    @classmethod
-    def _from_engine(cls, p, width, engine, choice,
-                     self_check=True) -> "ResilientPermutation":
-        inst = cls.__new__(cls)
-        inst.p = check_permutation(p)
-        inst.width = width
-        inst.self_check = self_check
-        inst._sleep = time.sleep
-        inst._planner = None
-        inst._digest = None
-        inst.report = FailureReport(chain=(choice,), engine_used=choice)
-        inst.engine = engine
-        inst.choice = choice
-        return inst
 
     @classmethod
     def from_plan_file(
@@ -175,34 +244,49 @@ class ResilientPermutation:
         except PlanIntegrityError as exc:
             if p is None:
                 raise
-            return cls(p, _preload_failure=exc, **kwargs)
+            return cls(p, _loaded=exc, **kwargs)
         choice = getattr(type(plan), "engine_name", "") or "scheduled"
-        return cls._from_engine(
-            plan.p, getattr(plan, "width", 32), plan, choice,
-            self_check=kwargs.get("self_check", True),
+        return cls(
+            plan.p, width=getattr(plan, "width", 32), chain=(choice,),
+            self_check=kwargs.get("self_check", True), _loaded=plan,
         )
 
     # ------------------------------------------------------------------
     # Planning with retry + fallback
     # ------------------------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        """Count one chain event as ``resilience_<name>_total``."""
-        self.metrics.counter(f"resilience_{name}_total").inc()
+    def _count(self, name: str, n: int = 1) -> None:
+        """Count chain events as ``resilience_<name>_total``."""
+        if n:
+            self.metrics.counter(f"resilience_{name}_total").inc(n)
 
     def _plan_chain(self, backend, chain, max_attempts, backoff_base):
         try:
-            for name in chain:
-                if self._plan_engine(name, backend, max_attempts,
-                                     backoff_base):
-                    return
-            self._count("chain_exhausted")
-            raise FallbackExhaustedError(
-                f"all engines failed for n = {len(self.p)} "
-                f"(chain {' -> '.join(chain)}); see report:\n"
-                + self.report.summary(),
-                report=self.report,
+            won = run_ladder(
+                chain,
+                lambda name, attempt: self._attempt(name, backend,
+                                                    attempt),
+                self.report,
+                stage="plan",
+                max_attempts=max_attempts,
+                backoff_base=backoff_base,
+                sleep=self._backoff,
             )
+            planned = [r for r in self.report.records
+                       if r.stage == "plan"]
+            retried = sum(r.retried for r in planned)
+            self._count("faults_absorbed", len(planned))
+            self._count("retries", retried)
+            self._count("fallbacks", len(planned) - retried)
+            if won is None:
+                self._count("chain_exhausted")
+                raise FallbackExhaustedError(
+                    f"all engines failed for n = {len(self.p)} "
+                    f"(chain {' -> '.join(chain)}); see report:\n"
+                    + self.report.summary(),
+                    report=self.report,
+                )
+            self.choice, self.engine = won
         finally:
             # Embed the telemetry of the whole planning run (spans for
             # every attempt and backoff, plus counters) in the report.
@@ -213,61 +297,40 @@ class ResilientPermutation:
                 if value
             }
 
-    def _plan_engine(self, name, backend, max_attempts,
-                     backoff_base) -> bool:
-        for attempt in range(1, max_attempts + 1):
-            with self._tracer.span(f"plan.{name}", attempt=attempt) as sp, \
-                    telemetry.span(f"resilience.plan.{name}",
-                                   attempt=attempt) as gsp:
-                outcome = self._attempt(name, backend, attempt,
-                                        max_attempts)
+    def _backoff(self, delay: float) -> None:
+        with self._tracer.span("backoff", seconds=delay), \
+                telemetry.span("resilience.backoff", seconds=delay):
+            self._sleep(delay)
+
+    def _attempt(self, name, backend, attempt):
+        """One planning attempt, spanned with its outcome."""
+        with self._tracer.span(f"plan.{name}", attempt=attempt) as sp, \
+                telemetry.span(f"resilience.plan.{name}",
+                               attempt=attempt) as gsp:
+            outcome = None
+            try:
+                if self._planner is not None:
+                    # Cache-aware hop: the digest computed at
+                    # construction is reused for every engine.
+                    engine = self._planner.compile(
+                        self.p, engine=name, width=self.width,
+                        digest=self._digest, backend=backend,
+                    )
+                else:
+                    engine = build_engine(
+                        name, self.p, width=self.width, backend=backend
+                    )
+                outcome = "ok"
+                return engine
+            except TRANSIENT_ERRORS:
+                outcome = "transient-fault"
+                raise
+            except ReproError:
+                outcome = "persistent-fault"
+                raise
+            finally:
                 sp.set(outcome=outcome)
                 gsp.set(outcome=outcome)
-            if outcome == "ok":
-                return True
-            if outcome == "persistent-fault":
-                self._count("fallbacks")
-                return False
-            # Transient: back off (its own span) and try again.
-            if attempt < max_attempts:
-                self._count("retries")
-                delay = backoff_delay(attempt, backoff_base)
-                with self._tracer.span("backoff", seconds=delay), \
-                        telemetry.span("resilience.backoff",
-                                       seconds=delay):
-                    self._sleep(delay)
-        self._count("fallbacks")
-        return False
-
-    def _attempt(self, name, backend, attempt, max_attempts) -> str:
-        """One planning attempt; returns the outcome label."""
-        try:
-            if self._planner is not None:
-                # Cache-aware hop: the digest computed at construction
-                # is reused for every engine in the chain.
-                self.engine = self._planner.compile(
-                    self.p, engine=name, width=self.width,
-                    digest=self._digest, backend=backend,
-                )
-            else:
-                self.engine = build_engine(
-                    name, self.p, width=self.width, backend=backend
-                )
-        except TRANSIENT_ERRORS as exc:
-            retried = attempt < max_attempts
-            self.report.record("plan", name, attempt, exc, retried)
-            self._count("faults_absorbed")
-            return "transient-fault"
-        except ReproError as exc:
-            # Persistent: infeasible size, capacity wall, ... — no
-            # amount of retrying will change the answer.
-            self.report.record("plan", name, attempt, exc,
-                               retried=False)
-            self._count("faults_absorbed")
-            return "persistent-fault"
-        self.choice = name
-        self.report.engine_used = name
-        return "ok"
 
     # ------------------------------------------------------------------
     # Execution

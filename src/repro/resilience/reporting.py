@@ -78,6 +78,8 @@ class FailureReport:
     chain: tuple[str, ...] = ()
     spans: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
+    #: Engines skipped without an attempt (their breaker was open).
+    skipped: list[str] = field(default_factory=list)
 
     def record(
         self,

@@ -177,6 +177,11 @@ class CircuitBreaker:
         with self._lock:
             return self._state
 
+    @property
+    def closed(self) -> bool:
+        """True while traffic flows freely, so a caller may retry."""
+        return self.state == CLOSED
+
     def reset(self) -> None:
         """Force-close (operator override)."""
         with self._lock:

@@ -14,13 +14,18 @@ concern the bare facade lacks:
 * **deadlines** — each request may carry a deadline, enforced at
   admission, at dequeue, and between retry attempts, so expired work
   never occupies a worker.
-* **budget-aware retries + degradation** — transient planning faults
-  (flaky colouring) are retried with the resilience layer's
+* **budget-aware retries + degradation** — each dequeued group walks
+  the resilience layer's one ladder,
+  :func:`~repro.resilience.run_ladder` (the loop
+  :class:`~repro.resilience.ResilientPermutation` plans with):
+  transient planning faults (flaky colouring) are retried with the
   deterministic :func:`~repro.resilience.backoff_delay`, each sleep
   capped by the remaining deadline budget; when an engine keeps
   failing the request degrades along the familiar ladder
   ``registered engine -> padded -> d-designated`` instead of failing
-  the caller.
+  the caller.  The walk's :class:`~repro.resilience.FailureReport`
+  rides on the :class:`ServeResult`, and the ``server.*`` retry and
+  fault counters are read from it.
 * **per-tenant namespaces and quotas** — registrations live under
   ``tenant/name`` keys; each tenant is metered by a
   :class:`~repro.service.quotas.TenantQuota` (requests/sec token
@@ -37,8 +42,14 @@ concern the bare facade lacks:
 Everything is observable: ``server.*`` event counters in the planner's
 registry, read by :meth:`PermutationServer.stats` and scraped by
 :meth:`PermutationServer.metrics_text`, and breaker/queue/tenant
-snapshots via :meth:`PermutationServer.health`.  See
-``docs/serving.md``.
+snapshots via :meth:`PermutationServer.health`.  Every admitted
+request resolves exactly once, so at quiescence ``accepted == served +
+failed + shed + deadline_exceeded``.  See ``docs/serving.md``.
+
+The server serves in-memory payloads only.  An on-disk payload
+streams out of core through
+:meth:`~repro.service.PermutationService.apply_stream`, which runs
+its stripes on threads of its own.
 
 ::
 
@@ -59,7 +70,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -77,8 +87,9 @@ from repro.errors import (
 from repro.resilience.engine import (
     DEFAULT_CHAIN,
     TRANSIENT_ERRORS,
-    backoff_delay,
+    run_ladder,
 )
+from repro.resilience.reporting import FailureReport
 from repro.service import PermutationService
 from repro.service.breaker import CLOSED, CircuitBreaker
 from repro.service.quotas import (
@@ -109,8 +120,7 @@ _EVENTS = (
     "coalesced", "retries", "faults_absorbed", "degraded",
     "ladder_exhausted", "self_check_failed", "breaker.engine_skipped",
     "breaker.all_open", "rejected.rate", "rejected.bulkhead",
-    "rejected.queue_full", "rejected.plan_quota", "stream.accepted",
-    "stream.completed", "stream.stripe_drained",
+    "rejected.queue_full", "rejected.plan_quota",
 )
 
 #: The instantaneous ``stats()`` fields, set as gauges at scrape time.
@@ -138,7 +148,9 @@ class ServeResult:
     permuted payload or raises the failure.  After completion the
     handle also carries how the request was served: ``engine`` (which
     ladder rung answered), ``attempts``, ``coalesced`` (whether it
-    shared a batched apply), and ``wait_s`` / ``service_s`` timings.
+    shared a batched apply), ``wait_s`` / ``service_s`` timings, and
+    ``report``, the :class:`~repro.resilience.FailureReport` of the
+    ladder walk (``None`` when it expired or was shed before the walk).
     """
 
     def __init__(self, name: str, tenant: str, priority: int) -> None:
@@ -150,6 +162,7 @@ class ServeResult:
         self.coalesced = False
         self.wait_s = 0.0
         self.service_s = 0.0
+        self.report: FailureReport | None = None
         self._event = threading.Event()
         self._value: np.ndarray | None = None
         self._error: BaseException | None = None
@@ -190,22 +203,17 @@ class _Request:
     ``ctx`` / ``qspan`` carry the request's
     :class:`~repro.telemetry.RequestContext` and detached queue-wait
     span, and stay ``None`` when no tracer is active — the disabled
-    fast path allocates neither.  Out-of-core stream *stripes* are
-    queue entries too: they carry their shared :class:`_StreamJob` in
-    ``stream`` plus their ``phase``/``stripe`` assignment, and an
-    empty payload.
+    fast path allocates neither.
     """
 
     __slots__ = ("key", "payload", "batch", "priority", "deadline",
-                 "enqueued", "tenant", "result", "rid", "ctx", "qspan",
-                 "stream", "phase", "stripe")
+                 "enqueued", "tenant", "result", "rid", "ctx", "qspan")
 
     def __init__(self, key: str, payload: np.ndarray, batch: bool,
                  priority: int, deadline: float | None,
                  enqueued: float, tenant: str, result: "ServeResult",
                  rid: int = 0, ctx: Any = None,
-                 qspan: Any = None, stream: "Any | None" = None,
-                 phase: str = "", stripe: int = -1) -> None:
+                 qspan: Any = None) -> None:
         self.key = key
         self.payload = payload
         self.batch = batch
@@ -217,117 +225,6 @@ class _Request:
         self.rid = rid
         self.ctx = ctx
         self.qspan = qspan
-        self.stream = stream
-        self.phase = phase
-        self.stripe = stripe
-
-
-class _StreamJob:
-    """Shared state of one out-of-core stream request.
-
-    ``submit_stream`` enqueues ``2 d`` stripe requests (``d`` pre
-    stripes, then ``d`` post stripes) that all point here.  The first
-    stripe a worker picks up compiles, shards and prepares the
-    streaming job under the registered engine's circuit breaker;
-    later stripes reuse it.  FIFO order within a priority bucket
-    guarantees every pre stripe is running or done before any worker
-    blocks on a post stripe, so the phase barrier inside
-    :class:`~repro.exec.StreamingJob` cannot deadlock.  The caller's
-    future resolves with the :class:`~repro.exec.StreamingStats` when
-    the last stripe finishes, or fails once on the first error, shed,
-    or server shutdown.
-    """
-
-    def __init__(
-        self,
-        key: str,
-        path_in: Path,
-        path_out: Path,
-        d: int,
-        max_resident_bytes: int | None,
-        tmp_dir: Any,
-        result: "ServeResult",
-    ) -> None:
-        self.key = key
-        self.path_in = path_in
-        self.path_out = path_out
-        self.d = int(d)
-        self.max_resident_bytes = max_resident_bytes
-        self.tmp_dir = tmp_dir
-        self.user_result = result
-        self.total_stripes = 2 * self.d
-        self.engine_name: str | None = None
-        self.cancelled = False
-        self._completed = 0
-        self._lock = threading.Lock()
-        self._prepared: Any = None
-
-    def ensure_prepared(self, server: "PermutationServer") -> Any:
-        """Compile + shard + open the streaming job (exactly once)."""
-        with self._lock:
-            if self.cancelled:
-                raise ServingError(
-                    f"stream for {self.key!r} was cancelled"
-                )
-            if self._prepared is not None:
-                return self._prepared
-            from repro.exec.streaming import (
-                DEFAULT_RESIDENT_BYTES,
-                StreamingExecutor,
-            )
-
-            registered = server.service._registration(self.key).engine
-            breaker = server._engine_breaker(registered)
-            if not breaker.allow():
-                server._count("breaker.engine_skipped")
-                raise CircuitOpenError(
-                    f"breaker for engine {registered!r} is open; "
-                    "retry the stream after its reset timeout"
-                )
-            try:
-                compiled = server.service.compiled(self.key)
-                sharded = compiled.shard(self.d)
-                executor = StreamingExecutor(
-                    max_resident_bytes=self.max_resident_bytes
-                    or DEFAULT_RESIDENT_BYTES,
-                    metrics=server.metrics,
-                )
-                self._prepared = executor.prepare(
-                    sharded,
-                    self.path_in,
-                    self.path_out,
-                    tmp_dir=self.tmp_dir,
-                    concurrency=min(server.workers, self.d),
-                )
-            except ReproError:
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            self.engine_name = compiled.engine_name
-            return self._prepared
-
-    def stripe_finished(self) -> bool:
-        """Count one finished stripe; True when it was the last."""
-        with self._lock:
-            self._completed += 1
-            return self._completed == self.total_stripes
-
-    def finalize(self) -> Any:
-        return self._prepared.finalize()
-
-    def fail(self, error: BaseException) -> None:
-        """Fail the caller's future once and release any waiters."""
-        with self._lock:
-            if self.cancelled:
-                return
-            self.cancelled = True
-            prepared = self._prepared
-        self.user_result._fail(error)
-        if prepared is not None:
-            prepared.abort(str(error))
-
-    def cancel(self, reason: str) -> None:
-        self.fail(ServingError(reason))
 
 
 class _GuardedDiskCache:
@@ -405,21 +302,19 @@ class _GuardedDiskCache:
             self.breaker.record_success()
         return sealed
 
-    def store_sealed(self, fingerprint: str, sealed: Any) -> Any:
-        path = self._inner.sealed_path_for(fingerprint)
+    def store_sealed(self, fingerprint: str, sealed: Any) -> None:
         if not self.breaker.allow():
             self._bypassed.inc()
-            return path
+            return
         try:
-            path = self._inner.store_sealed(fingerprint, sealed)
+            self._inner.store_sealed(fingerprint, sealed)
         except OSError:
             # Same contract as ``store``: a failed sidecar persist
             # never fails the request; the sealed form stays resident.
             self.breaker.record_failure()
             self._store_failed.inc()
-            return path
+            return
         self.breaker.record_success()
-        return path
 
     def __getattr__(self, attr: str) -> Any:
         return getattr(self._inner, attr)
@@ -647,10 +542,6 @@ class PermutationServer:
         for req in dropped:
             # Outside the queue lock: finishing a request can trigger
             # a flight-recorder dump whose providers re-take it.
-            if req.stream is not None:
-                req.stream.cancel(
-                    "server closed before the stream was served"
-                )
             if req.qspan is not None:
                 telemetry.end_span(req.qspan, outcome="dropped")
             self._finish_request(req, "dropped", ok=False)
@@ -965,14 +856,6 @@ class PermutationServer:
             priority=priority,
         )
         if victim is not None:
-            if victim.stream is not None:
-                # Shedding one stripe strands the rest of its plan:
-                # fail the whole stream (its queued siblings then
-                # drain as no-ops).
-                victim.stream.cancel(
-                    "a stripe of this stream was shed from the queue "
-                    "by a higher-priority request"
-                )
             if victim.qspan is not None:
                 telemetry.end_span(victim.qspan, outcome="shed")
             self.recorder.record(
@@ -988,130 +871,6 @@ class PermutationServer:
                 )
         return result
 
-    def submit_stream(
-        self,
-        name: str,
-        path_in: str | Path,
-        path_out: str | Path,
-        *,
-        d: int = 8,
-        tenant: str = "default",
-        priority: int = NORMAL,
-        deadline_s: float | None = None,
-        max_resident_bytes: int | None = None,
-        tmp_dir: str | Path | None = None,
-    ) -> ServeResult:
-        """Enqueue an out-of-core stream as ``2 d`` stripe tasks.
-
-        The on-disk ``.npy`` payload at ``path_in`` is permuted into
-        ``path_out`` through the registration's proven ``d``-stripe
-        sharding, under the streaming executor's resident-bytes
-        budget.  The stream is admitted once (one rate token, one
-        bulkhead check) but occupies ``2 d`` queue slots and in-flight
-        counts: ``d`` pre stripes followed by ``d`` post stripes, all
-        in the same priority bucket, so any number of workers can pull
-        stripes concurrently — FIFO order within the bucket guarantees
-        every pre stripe is running or done before a worker blocks on
-        a post stripe, which makes the phase barrier deadlock-free.
-
-        The returned future resolves with the
-        :class:`~repro.exec.StreamingStats` when the last stripe
-        finishes.  Any stripe failure, shed, or server shutdown fails
-        the whole stream once and aborts the in-flight stripes.
-        """
-        if priority not in _PRIORITIES:
-            raise ValidationError(
-                f"priority must be one of {_PRIORITIES}, got {priority}"
-            )
-        if d < 1:
-            raise ValidationError(
-                f"shard count d must be >= 1, got {d}"
-            )
-        key = self._key(tenant, name)
-        self.service._registration(key)
-        src = Path(path_in)
-        if not src.exists():
-            raise ValidationError(
-                f"input payload {str(src)!r} does not exist"
-            )
-        self.start()
-        now = self._clock()
-        limit = deadline_s if deadline_s is not None \
-            else self.default_deadline_s
-        deadline = now + limit if limit is not None else None
-        result = ServeResult(name=name, tenant=tenant,
-                             priority=priority)
-        job = _StreamJob(
-            key=key, path_in=src, path_out=Path(path_out), d=d,
-            max_resident_bytes=max_resident_bytes, tmp_dir=tmp_dir,
-            result=result,
-        )
-        requests = [
-            _Request(
-                key=key, payload=np.empty(0), batch=False,
-                priority=priority, deadline=deadline, enqueued=now,
-                tenant=tenant,
-                result=ServeResult(name=name, tenant=tenant,
-                                   priority=priority),
-                rid=next(self._rid), stream=job, phase=phase,
-                stripe=k,
-            )
-            for phase in ("pre", "post")
-            for k in range(d)
-        ]
-        try:
-            with self._cond:
-                if self._stopping:
-                    raise ServingError("server is closed")
-                state = self._tenant(tenant)
-                wait = state.try_acquire()
-                if wait > 0:
-                    self._count("rejected.rate")
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} exceeded "
-                        f"{state.quota.rps} requests/sec",
-                        retry_after=wait,
-                    )
-                if not state.inflight_available():
-                    self._count("rejected.bulkhead")
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} is at its in-flight "
-                        f"bulkhead ({state.quota.max_inflight})",
-                        retry_after=self._retry_after(),
-                    )
-                if self._size + len(requests) > self.queue_capacity:
-                    # A stream is all-or-nothing: admitting a partial
-                    # stripe set (or shedding on its behalf) could
-                    # strand the phase barrier, so it simply waits for
-                    # room instead of displacing queued work.
-                    self._count("rejected.queue_full")
-                    raise ServiceOverloadError(
-                        f"queue cannot hold {len(requests)} stripe "
-                        f"tasks ({self.queue_capacity - self._size} "
-                        "slots free)",
-                        retry_after=self._retry_after(),
-                    )
-                self._buckets[priority].extend(requests)
-                self._size += len(requests)
-                state.inflight += len(requests)
-                self._count("accepted")
-                self._count("stream.accepted")
-                self._cond.notify_all()
-        except (QuotaExceededError, ServiceOverloadError,
-                ServingError) as exc:
-            self.recorder.record(
-                "reject", rid=requests[0].rid, key=key, tenant=tenant,
-                reason=type(exc).__name__,
-            )
-            raise
-        for req in requests:
-            self._track(req)
-        self.recorder.record(
-            "admit_stream", rid=requests[0].rid, key=key,
-            tenant=tenant, d=d, stripes=len(requests),
-        )
-        return result
-
     def apply(self, name: str, a: np.ndarray, **kwargs) -> np.ndarray:
         """Synchronous convenience: ``submit(...).result()``."""
         return self.submit(name, a, **kwargs).result()
@@ -1121,14 +880,6 @@ class PermutationServer:
     ) -> np.ndarray:
         """Synchronous convenience for a stacked ``(k, n)`` payload."""
         return self.submit(name, batch, batch=True, **kwargs).result()
-
-    def apply_stream(
-        self, name: str, path_in: str | Path, path_out: str | Path,
-        **kwargs: Any,
-    ) -> Any:
-        """Synchronous convenience: ``submit_stream(...).result()``."""
-        return self.submit_stream(name, path_in, path_out,
-                                  **kwargs).result()
 
     # ------------------------------------------------------------------
     # Workers
@@ -1161,9 +912,7 @@ class PermutationServer:
         assert first is not None
         self._size -= 1
         group = [first]
-        if not self.coalesce or first.batch or first.stream is not None:
-            # Stream stripes never coalesce: each is one unit of an
-            # ordered plan, not an independent same-shape payload.
+        if not self.coalesce or first.batch:
             return group
         shape, dtype = first.payload.shape, first.payload.dtype
         for prio in _PRIORITIES:
@@ -1173,7 +922,6 @@ class PermutationServer:
                 req = bucket.popleft()
                 if (
                     not req.batch
-                    and req.stream is None
                     and req.key == first.key
                     and req.payload.shape == shape
                     and req.payload.dtype == dtype
@@ -1208,9 +956,6 @@ class PermutationServer:
                     f"{wait:.3f} s in the queue"
                 )
                 req.result._fail(error)
-                if req.stream is not None:
-                    # One expired stripe fails the whole stream.
-                    req.stream.fail(error)
                 self._finish_request(
                     req, "deadline_exceeded", ok=False
                 )
@@ -1225,16 +970,12 @@ class PermutationServer:
         # their own root spans and are linked by attribute.
         leader = live[0]
         t0 = self._clock()
-        serve = (
-            self._serve_stream if leader.stream is not None
-            else self._serve
-        )
         try:
             if leader.ctx is not None:
                 with telemetry.request_scope(leader.ctx):
-                    serve(live)
+                    self._serve(live)
             else:
-                serve(live)
+                self._serve(live)
         except Exception as exc:
             # Catch everything: an escaped exception would kill the
             # worker thread and leave every queued future unresolved.
@@ -1289,97 +1030,64 @@ class PermutationServer:
                     self._engine_breakers[engine] = breaker
         return breaker
 
-    def _ladder(self, registered: str) -> list[str]:
-        return [registered] + [
-            e for e in DEFAULT_CHAIN if e != registered
-        ]
-
     def _serve(self, group: list[_Request]) -> None:
         """Serve ``group`` (same registration), resolving every future.
 
-        Walks the engine ladder under the breakers; transient faults
-        retry with deadline-capped backoff, persistent faults hop to
-        the next engine.  The group degrades and succeeds — or fails —
-        together.
+        Walks the engine ladder with :func:`~repro.resilience.run_ladder`
+        under the per-engine breakers: transient faults retry with
+        deadline-capped backoff, persistent faults hop to the next
+        engine.  The group degrades and succeeds — or fails — together.
         """
         key = group[0].key
         registered = self.service._registration(key).engine
+        ladder = [registered] + [
+            e for e in DEFAULT_CHAIN if e != registered
+        ]
         deadline = min(
             (r.deadline for r in group if r.deadline is not None),
             default=None,
         )
-        attempts_total = 0
-        all_open = True
-        for engine in self._ladder(registered):
-            breaker = self._engine_breaker(engine)
-            if not breaker.allow():
-                self._count("breaker.engine_skipped")
-                self.recorder.record(
-                    "breaker_skip", rid=group[0].rid, engine=engine
-                )
-                continue
-            all_open = False
-            for attempt in range(1, self.max_attempts + 1):
-                if deadline is not None and \
-                        self._clock() >= deadline:
-                    raise DeadlineExceededError(
-                        "deadline expired while retrying "
-                        f"(engine {engine!r}, attempt {attempt})"
-                    )
-                if attempts_total == 0:
-                    t_first = self._clock()
-                    for req in group:
-                        self.metrics.histogram(
-                            "server_first_attempt_seconds",
-                            priority=str(req.priority),
-                        ).observe(t_first - req.enqueued)
-                attempts_total += 1
-                try:
-                    with telemetry.span(
-                        "serve.attempt",
-                        engine=engine,
-                        attempt=attempts_total,
-                        riders=[r.rid for r in group[1:]],
-                    ):
-                        out = self._apply_group(key, group, engine)
-                except TRANSIENT_ERRORS:
-                    breaker.record_failure()
-                    self._count("faults_absorbed")
-                    self.recorder.record(
-                        "fault", rid=group[0].rid, engine=engine,
-                        attempt=attempts_total, transient=True,
-                    )
-                    if attempt < self.max_attempts and \
-                            breaker.state == CLOSED:
-                        self._count("retries")
-                        delay = backoff_delay(
-                            attempt, self.backoff_base
-                        )
-                        if deadline is not None:
-                            delay = min(
-                                delay,
-                                max(0.0, deadline - self._clock()),
-                            )
-                        if delay > 0:
-                            self._sleep(delay)
-                        continue
-                    break   # breaker opened or budget spent: next rung
-                except ReproError:
-                    # Persistent (infeasible size, capacity wall):
-                    # retrying cannot help — drop down the ladder.
-                    breaker.record_failure()
-                    self._count("faults_absorbed")
-                    self.recorder.record(
-                        "fault", rid=group[0].rid, engine=engine,
-                        attempt=attempts_total, transient=False,
-                    )
-                    break
-                breaker.record_success()
-                if engine != registered:
-                    self._count("degraded", len(group))
-                self._deliver(group, out, engine, attempts_total)
-                return
-        if all_open:
+        report = FailureReport(chain=tuple(ladder))
+        for req in group:
+            req.result.report = report
+
+        def attempt(engine: str, n: int) -> Any:
+            tried = len(report.records)
+            if tried == 0:
+                t_first = self._clock()
+                for req in group:
+                    self.metrics.histogram(
+                        "server_first_attempt_seconds",
+                        priority=str(req.priority),
+                    ).observe(t_first - req.enqueued)
+            with telemetry.span(
+                "serve.attempt",
+                engine=engine,
+                attempt=tried + 1,
+                riders=[r.rid for r in group[1:]],
+            ):
+                return self._apply_group(key, group, engine)
+
+        try:
+            won = run_ladder(
+                ladder, attempt, report,
+                stage="apply",
+                max_attempts=self.max_attempts,
+                backoff_base=self.backoff_base,
+                sleep=self._sleep,
+                gate=self._engine_breaker,
+                deadline=deadline,
+                clock=self._clock,
+            )
+        finally:
+            self._tally(group[0].rid, report)
+        if won is not None:
+            engine, out = won
+            if engine != registered:
+                self._count("degraded", len(group))
+            self._deliver(group, out, engine, report.attempts_total)
+            return
+        if len(report.skipped) == len(ladder):
             self._count("breaker.all_open")
             raise CircuitOpenError(
                 "every engine breaker is open; retry after "
@@ -1388,52 +1096,28 @@ class PermutationServer:
         self._count("ladder_exhausted")
         raise ServingError(
             f"all engines failed for {key!r} "
-            f"(ladder {' -> '.join(self._ladder(registered))}, "
-            f"{attempts_total} attempts)"
+            f"(ladder {' -> '.join(ladder)}, "
+            f"{len(report.records)} attempts)"
         )
 
-    def _serve_stream(self, group: list[_Request]) -> None:
-        """Serve one dequeued stream stripe (groups are singletons).
-
-        The first stripe of a job compiles/shards/prepares under the
-        registered engine's breaker; every stripe then runs its
-        assigned ``(phase, k)`` slice of the plan.  The last finisher
-        finalizes the job and resolves the caller's future with the
-        :class:`~repro.exec.StreamingStats`.  Failures fail the shared
-        future exactly once and abort the job, so sibling stripes
-        (queued or in flight) drain as no-ops.
-        """
-        req = group[0]
-        job = req.stream
-        assert job is not None
-        if job.cancelled:
-            # The job already failed (another stripe, a shed, or
-            # shutdown); drain this stripe so the worker frees up.
-            req.result._resolve(np.empty(0))
-            self._count("stream.stripe_drained")
-            return
-        try:
-            with telemetry.span(
-                "serve.stripe", phase=req.phase, stripe=req.stripe
-            ):
-                prepared = job.ensure_prepared(self)
-                timeout = None
-                if req.deadline is not None:
-                    timeout = max(0.0,
-                                  req.deadline - self._clock())
-                prepared.run_stripe(req.phase, req.stripe,
-                                    timeout=timeout)
-        except Exception as exc:
-            job.fail(exc)
-            raise
-        req.result.engine = job.engine_name
-        req.result._resolve(np.empty(0))
-        if job.stripe_finished():
-            stats = job.finalize()
-            job.user_result.engine = job.engine_name
-            job.user_result.service_s = stats.seconds
-            job.user_result._resolve(stats)
-            self._count("stream.completed")
+    def _tally(self, rid: int, report: FailureReport) -> None:
+        """Count one ladder walk's events and log them to the flight
+        recorder, all read from its report."""
+        retries = sum(rec.retried for rec in report.records)
+        for event, n in (
+            ("faults_absorbed", len(report.records)),
+            ("retries", retries),
+            ("breaker.engine_skipped", len(report.skipped)),
+        ):
+            if n:
+                self._count(event, n)
+        for engine in report.skipped:
+            self.recorder.record("breaker_skip", rid=rid, engine=engine)
+        for i, rec in enumerate(report.records, 1):
+            self.recorder.record(
+                "fault", rid=rid, engine=rec.engine, attempt=i,
+                transient=isinstance(rec.error, TRANSIENT_ERRORS),
+            )
 
     def _apply_group(
         self, key: str, group: list[_Request], engine: str

@@ -1,10 +1,15 @@
 """Tests for the out-of-core streaming executor."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ResidentBudgetError, ShardingError, SizeError
-from repro.exec.streaming import StreamingExecutor
+from repro.exec.streaming import StreamingExecutor, StreamingJob
 from repro.ir.registry import get_engine
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.shard import shard_program
@@ -28,6 +33,10 @@ def _payload(path, n, dtype=np.float64):
 @pytest.fixture
 def paths(tmp_path):
     return tmp_path / "in.npy", tmp_path / "out.npy"
+
+
+class _StripeFault(Exception):
+    """Raised by a planted stripe; not a library error type."""
 
 
 class TestCorrectness:
@@ -73,20 +82,35 @@ class TestCorrectness:
 
 
 class TestBudget:
-    def test_peak_resident_stays_under_budget(self, paths):
+    def test_peak_resident_stays_under_budget(self, paths, monkeypatch):
+        # run_sharded runs min(d, cpu_count) = 4 stripes at once; a
+        # short switch interval interleaves their shared-stats updates.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         src, dst = paths
         budget = 8 * 1024
         p = bit_reversal(N)
-        _payload(src, N)
-        stats = StreamingExecutor(max_resident_bytes=budget).run_sharded(
-            _sharded(p), src, dst
-        )
+        a = _payload(src, N)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stats = StreamingExecutor(
+                max_resident_bytes=budget
+            ).run_sharded(_sharded(p), src, dst)
+        finally:
+            sys.setswitchinterval(interval)
         assert 0 < stats.peak_resident_total_bytes <= budget
         assert (stats.peak_resident_payload_bytes
                 <= stats.peak_resident_total_bytes)
         # The budget forces tiling: many more tiles than stripes.
         assert stats.tiles_loaded > 2 * stats.d
         assert stats.tile_elems < N // stats.d
+        # No lost update: every tile of both phases counted once.
+        per_stripe = -(-(N // stats.d) // stats.tile_elems)
+        assert stats.tiles_loaded == 2 * stats.d * per_stripe
+        assert stats.bytes_written == 2 * a.nbytes
+        expected = np.empty_like(a)
+        expected[p] = a
+        assert np.array_equal(np.load(dst), expected)
 
     def test_budget_too_small_for_one_element(self, paths):
         src, dst = paths
@@ -175,6 +199,39 @@ class TestLifecycle:
         assert not list(spill.glob("gather-*.npy"))
         assert not (spill / "mid.npy").exists()
 
+    @pytest.mark.parametrize("fail", (("pre", 1), ("post", 2)))
+    def test_failing_stripe_aborts_and_reraises(
+        self, paths, tmp_path, monkeypatch, fail
+    ):
+        src, dst = paths
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        p = bit_reversal(N)
+        _payload(src, N)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ran, raised_on = [], []
+        run_stripe = StreamingJob.run_stripe
+
+        def planted(job, phase, k, timeout=None):
+            ran.append(phase)
+            if (phase, k) == fail:
+                raised_on.append(threading.current_thread())
+                raise _StripeFault(f"{phase} stripe {k}")
+            run_stripe(job, phase, k, timeout)
+
+        monkeypatch.setattr(StreamingJob, "run_stripe", planted)
+        # The worker's own error type reaches the caller, the job
+        # aborts (no spill files left), and a failed pre phase starts
+        # no post stripe.
+        with pytest.raises(_StripeFault):
+            StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
+                _sharded(p), src, dst, tmp_dir=spill
+            )
+        assert raised_on[0] is not threading.main_thread()
+        assert ("post" in ran) == (fail[0] == "post")
+        assert not list(spill.glob("gather-*.npy"))
+        assert not (spill / "mid.npy").exists()
+
 
 class TestTelemetry:
     def test_metrics_histograms_observed(self, paths):
@@ -194,6 +251,21 @@ class TestTelemetry:
             "pre", "post"
         }
         assert all(s["count"] > 0 for s in tile_series)
+
+    def test_stripe_spans_nest_under_run(self, paths, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        src, dst = paths
+        _payload(src, N)
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
+                _sharded(bit_reversal(N)), src, dst
+            )
+        (run,) = tracer.find("stream.run")
+        assert run.attributes["threads"] == 2
+        stripes = tracer.find("stream.stripe")
+        assert len(stripes) == 2 * 4
+        assert {s.parent_id for s in stripes} == {run.span_id}
 
     def test_stats_describe_mentions_budget(self, paths):
         src, dst = paths

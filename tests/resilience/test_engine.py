@@ -175,6 +175,17 @@ class TestFromPlanFile:
         a = np.random.default_rng(4).random(N)
         assert np.array_equal(r.apply(a), expected_output(p, a))
 
+    def test_good_file_has_the_planned_surface(self, p, tmp_path):
+        # A loaded instance is built like a planned one: it has its own
+        # registry and a settled report.
+        path = tmp_path / "plan.npz"
+        save_plan(path, ScheduledPermutation.plan(p, width=WIDTH))
+        r = ResilientPermutation.from_plan_file(path)
+        assert r.metrics.counter_values() == {}
+        assert r.report.chain == ("scheduled",)
+        assert r.report.engine_used == "scheduled"
+        assert r.report.attempts_total == 1
+
     def test_bad_file_without_p_raises(self, p, tmp_path):
         path = tmp_path / "plan.npz"
         save_plan(path, ScheduledPermutation.plan(p, width=WIDTH))
