@@ -92,7 +92,20 @@ def _split_edges(
     return half
 
 
-def _split(orders: np.ndarray) -> np.ndarray:
+def _csr_rows(num_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit entries and the row pointer ``arange(E + 1)`` of a
+    one-entry-per-row CSR matrix over ``E`` edges, shared by every
+    split of one colouring.  Positions are int32 while ``E`` fits:
+    SciPy narrows CSR indices to int32 then, and takes int32 inputs
+    without a copy."""
+    dtype = np.int32 if num_edges < np.iinfo(np.int32).max else np.int64
+    return np.ones(num_edges), np.arange(num_edges + 1, dtype=dtype)
+
+
+def _split(
+    orders: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """The split kernel.
 
     Rows 0 and 1 of ``orders`` list every edge id once, grouped by left
@@ -108,19 +121,20 @@ def _split(orders: np.ndarray) -> np.ndarray:
     """
     lorder, rorder = orders
     num_edges = lorder.shape[0]
-    lpos = np.empty_like(lorder)
-    lpos[lorder] = np.arange(num_edges)
+    ones, indptr = rows if rows is not None else _csr_rows(num_edges)
+    lpos = np.empty(num_edges, dtype=indptr.dtype)
+    lpos[lorder] = indptr[:-1]
     # Right copies as position pairs (a[j], b[j]): pi swaps them.
     a = lpos[rorder[0::2]]
     b = lpos[rorder[1::2]]
-    tau = np.empty_like(lorder)
+    tau = np.empty_like(lpos)
     tau[a] = b ^ 1
     tau[b] = a ^ 1
     # Row q of the functional graph holds the single entry tau[q]; its
     # components are the tau-orbits.  sigma and pi both map an orbit
     # onto its partner (the other half of the same cycle).
     functional = csr_matrix(
-        (np.ones(num_edges), tau, np.arange(num_edges + 1)),
+        (ones, tau, indptr),
         shape=(num_edges, num_edges),
     )
     _, labels = connected_components(functional, connection="weak")
@@ -164,9 +178,10 @@ def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
                 "degrees"
             )
         orders = _incidence_orders(graph.left, graph.right, graph.num_left)
+        rows = _csr_rows(graph.num_edges)
         classes = 1
         while classes < graph.degree:
-            orders = _partition(orders, _split(orders), classes)
+            orders = _partition(orders, _split(orders, rows), classes)
             classes *= 2
         # Block c of the left order now holds exactly the edges of
         # colour c.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -591,17 +592,32 @@ class Planner:
         permutation) only when a caller needs the full program.
         """
 
+        # The handle lands in this planner's memory tier, so the loader
+        # holds the planner weakly: a strong reference closes a cycle,
+        # and a dropped planner's sealed maps would then wait for the
+        # cyclic collector instead of being freed at once.  A handle
+        # that outlives its planner rehydrates through a fresh one over
+        # the same pipeline and directory.
+        owner = weakref.ref(self)
+        pipeline, default_backend = self.pipeline, self.backend
+        directory = self.disk.directory if self.disk is not None else None
+
         def loader() -> _Loaded:
-            plan = (
-                self.disk.load(fp) if self.disk is not None else None
-            )
+            planner = owner()
+            if planner is None:
+                planner = Planner(
+                    cache_dir=directory, pipeline=pipeline,
+                    backend=default_backend,
+                )
+            disk = planner.disk
+            plan = disk.load(fp) if disk is not None else None
             if plan is None:
-                plan, proof, _sha = self._plan_cold(
+                plan, proof, _sha = planner._plan_cold(
                     fp, sealed.scatter, sealed.engine, sealed.width,
                     backend,
                 )
             else:
-                proof = self._optimize_validated(plan)
+                proof = planner._optimize_validated(plan)
             return plan, proof.program, proof.certificate
 
         return CompiledPermutation(

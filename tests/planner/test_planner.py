@@ -1,6 +1,9 @@
 """Planner and cache-tier tests: LRU behaviour, disk persistence,
 corruption handling, and the CompiledPermutation contract."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,37 @@ class TestPlanner:
         assert np.array_equal(compiled.apply(a), _expected(p, a))
         # The sealed sidecar answered; the full plan never rehydrated.
         assert not compiled.is_loaded
+
+    def test_dropped_planner_freed_without_cyclic_gc(self, tmp_path):
+        # A lazy handle sits in its planner's memory tier; its loader
+        # must not reference the planner strongly, or dropping the
+        # planner leaves its sealed maps to the cyclic collector.
+        p = bit_reversal(_N)
+        Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
+        gc.collect()
+        gc.disable()
+        try:
+            fresh = Planner(cache_dir=tmp_path)
+            compiled = fresh.compile(p, width=_WIDTH)
+            planner_ref = weakref.ref(fresh)
+            sealed_ref = weakref.ref(compiled.sealed)
+            del fresh, compiled
+            assert planner_ref() is None
+            assert sealed_ref() is None
+        finally:
+            gc.enable()
+
+    def test_lazy_handle_rehydrates_after_planner_dropped(self, tmp_path):
+        p = bit_reversal(_N)
+        Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
+        compiled = Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
+        gc.collect()
+        assert not compiled.is_loaded
+        assert np.array_equal(np.asarray(compiled.p), p)
+        program = compiled.program
+        assert compiled.is_loaded and program is not None
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(compiled.engine.apply(a), _expected(p, a))
 
     def test_disk_hit_when_sidecar_absent(self, tmp_path):
         p = bit_reversal(_N)
