@@ -18,8 +18,11 @@ and the machine-level :meth:`~repro.machine.hmm.HMM.run_sharded`
 breakdown for the streamed shard count.
 
 Artefacts: ``benchmarks/results/outofcore.txt`` and ``BENCH_8.json``
-at the repo root.  Scale knob for CI: ``REPRO_OOC_LOGN`` (default 26;
-the smoke job uses 16).  The resident budget always scales as
+at the repo root, written only by a run at the recorded size (2^26).
+Scale knob for CI: ``REPRO_OOC_LOGN`` (default 26; the smoke job uses
+18); a run at any other size writes
+``benchmarks/results/outofcore_logn<k>.{txt,json}`` instead, so it
+never replaces the record.  The resident budget always scales as
 ``payload_bytes / 8``, so the 1/8 acceptance ratio is pinned at every
 scale.
 """
@@ -49,6 +52,8 @@ MODEL_DS = (1, 2, 4, 8)
 #: in slices of this many elements, so the checker is itself bounded.
 CHECK_CHUNK = 1 << 20
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The size ``BENCH_8.json`` records.
+RECORDED_LOGN = 26
 
 
 def _write_payload(path: Path, n: int) -> None:
@@ -86,6 +91,16 @@ def _files_equal(x_path: Path, y_path: Path, n: int) -> bool:
         if not np.array_equal(x[lo:hi], y[lo:hi]):
             return False
     return True
+
+
+def artefact_paths(log2_n: int) -> tuple[str, Path]:
+    """``(report name, JSON path)`` of a run at ``n = 2^log2_n``: the
+    recorded artefacts at :data:`RECORDED_LOGN`, size-named files under
+    ``benchmarks/results/`` at any other size."""
+    if log2_n == RECORDED_LOGN:
+        return "outofcore", REPO_ROOT / "BENCH_8.json"
+    name = f"outofcore_logn{log2_n}"
+    return name, REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
 
 
 def run_outofcore(n: int = N, stream_d: int = STREAM_D) -> dict:
@@ -212,7 +227,8 @@ def test_outofcore_streaming_report(report):
         title=("sharded HMM model (per-DMM rounds + inter-DMM "
                "exchange, exact crossing volume)"),
     )
-    report("outofcore", table1 + "\n\n" + table2)
+    name, json_path = artefact_paths(payload["log2_n"])
+    report(name, table1 + "\n\n" + table2)
 
     # Pinned acceptance criteria.
     assert payload["correct"], "streamed output differs from scatter"
@@ -223,6 +239,4 @@ def test_outofcore_streaming_report(report):
     assert payload["budget_bytes"] * 8 <= payload["payload_bytes"], (
         "budget must be at most 1/8 of the payload")
 
-    (REPO_ROOT / "BENCH_8.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    json_path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -404,6 +404,13 @@ def cmd_verify_plan(args) -> str:
         f"{elapsed_ms:.1f} ms"
     )
     if isinstance(plan, ScheduledPermutation):
+        formula = ""
+        if plan.affine is not None:
+            formula = (
+                "formula: affine x -> A x xor c on "
+                f"{plan.affine.bits} bits; schedule regenerated in "
+                "closed form\n"
+            )
         return (
             f"plan OK: n = {plan.n}, m = {plan.m}, width = {plan.width}, "
             f"{plan.schedule_bytes()} bytes of schedule data; "
@@ -411,7 +418,7 @@ def cmd_verify_plan(args) -> str:
             "conflict-free\n"
             f"colouring: {plan.m} colour classes verified as perfect "
             "matchings of the row multigraph\n"
-            + footer
+            + formula + footer
         )
     program = plan.lower()
     engine = type(plan).engine_name

@@ -14,6 +14,15 @@ Because every registered engine lowers to the IR, **any** engine's plan
 can be saved and loaded — loading rebuilds the planned engine through
 ``Engine.from_program`` without re-running any colouring.
 
+A scheduled plan made in closed form for an affine permutation
+(:mod:`repro.core.affine`) is a function of ``(A, c, width)`` alone,
+so its file is a **formula**: the same version-4 archive holding
+``affine.A`` (the bit matrix's columns), ``affine.c``, ``n``,
+``width`` and ``affine.recipe`` (the closed-form recipe version) in
+place of ``p`` and the ``op{i}.*`` groups: a few KiB at any size,
+nearly all of it the certificates.  The loader regenerates the plan through the same closed form
+and then runs every check a program file gets.
+
 Because a stored plan is *trusted forever*, the file is self-verifying:
 every file carries a SHA-256 checksum over the canonically packed
 payload arrays plus a library-version stamp.  :func:`load_plan`
@@ -73,6 +82,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
+from repro.core import affine
 from repro.core.colwise import ColumnwiseSchedule
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduled import ScheduledPermutation
@@ -82,6 +92,7 @@ from repro.errors import (
     CertificateError,
     PlanCorruptionError,
     PlanVersionError,
+    SchedulingError,
     ValidationError,
 )
 from repro.ir.ops import OP_KINDS
@@ -530,6 +541,60 @@ def _pack_program(program: KernelProgram, p: np.ndarray) -> dict:
     return arrays
 
 
+def _pack_formula(form: "affine.AffineForm", width: int) -> dict:
+    """The payload keys of a formula plan file (see the module
+    docstring): the affine form and the recipe that regenerates the
+    plan from it."""
+    return {
+        "format_version": np.int64(FORMAT_VERSION),
+        "engine": np.str_(ScheduledPermutation.engine_name),
+        "n": np.int64(form.n),
+        "width": np.int64(width),
+        "affine.recipe": np.int64(affine.RECIPE_VERSION),
+        "affine.A": np.asarray(form.columns, dtype=np.int64),
+        "affine.c": np.int64(form.offset),
+    }
+
+
+def _regenerate_formula(path, arrays: dict) -> ScheduledPermutation:
+    """Rebuild a formula file's plan through the closed form (the
+    checksum has vouched for the bytes; this refuses what no writer of
+    this build produces)."""
+    try:
+        recipe = int(arrays["affine.recipe"])
+        engine = str(arrays["engine"])
+        n, width = int(arrays["n"]), int(arrays["width"])
+        columns = tuple(int(v) for v in np.asarray(arrays["affine.A"]))
+        offset = int(arrays["affine.c"])
+    except KeyError as exc:
+        raise PlanCorruptionError(
+            f"{path}: formula plan file is incomplete: {exc} is not a "
+            "file in the archive"
+        ) from exc
+    if recipe != affine.RECIPE_VERSION:
+        raise PlanCorruptionError(
+            f"{path}: formula plan needs closed-form recipe {recipe}, "
+            f"but this build regenerates recipe {affine.RECIPE_VERSION} "
+            "only — re-plan from the original permutation"
+        )
+    if engine != ScheduledPermutation.engine_name:
+        raise PlanCorruptionError(
+            f"{path}: formula plan names engine {engine!r}; only "
+            f"{ScheduledPermutation.engine_name!r} plans are stored as "
+            "a formula"
+        )
+    form = affine.AffineForm(n.bit_length() - 1, columns, offset)
+    try:
+        if n != form.n:
+            raise ValidationError(f"n = {n} is not a power of two")
+        form.validate()
+        return ScheduledPermutation.from_affine(form, width)
+    except (ValidationError, SchedulingError) as exc:
+        raise PlanCorruptionError(
+            f"{path}: formula plan does not regenerate: {exc}"
+        ) from exc
+
+
 def _unpack_program(path, arrays: dict) -> KernelProgram:
     """Rebuild the :class:`KernelProgram` from npz keys (checksum has
     already vouched for the key set, so failures here mean the file was
@@ -595,7 +660,10 @@ def save_plan(path, plan, certify: bool = True,
     :class:`~repro.errors.ValidationError` naming the offending type.
     The file holds the engine's lowered kernel program and is stamped
     with :data:`FORMAT_VERSION`, the writing library's version, and a
-    SHA-256 checksum over the payload.
+    SHA-256 checksum over the payload.  A scheduled plan made in closed
+    form (``plan.affine`` set) is stored as its formula instead of its
+    program (see the module docstring); both certificates bind to that
+    payload's checksum all the same.
 
     With ``certify=True`` (the default) and an engine carrying a
     scheduled plan, the static conflict-freedom certificate is
@@ -649,7 +717,11 @@ def save_plan(path, plan, certify: bool = True,
     with telemetry.span(
         "plan_io.save", n=program.n, engine=engine_name
     ) as sp:
-        arrays = _pack_program(program, plan.p)
+        form = getattr(plan, "affine", None)
+        if form is not None:
+            arrays = _pack_formula(form, plan.width)
+        else:
+            arrays = _pack_program(program, plan.p)
         checksum = plan_checksum(arrays)
         extra: dict = {}
         if provenance is not None:
@@ -899,7 +971,8 @@ def _load_plan_inner(path, sp):
         # v2 files predate semantic certificates; any stray
         # semantic_certificate key is ignored.
         return _load_plan_v2(path, arrays, stored, cert_json, sp)
-    # v3 and v4 share one logical layout; only member encodings differ,
+    # v3 and v4 share one logical layout (a v4 formula file swaps the
+    # program keys for the formula's); only member encodings differ,
     # and _read_npz has already decoded those.
     return _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp)
 
@@ -919,21 +992,27 @@ def _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp):
     certificate = None
     if cert_json is not None:
         certificate = _validate_certificate(path, cert_json, actual)
-    program = _unpack_program(path, arrays)
-    try:
-        engine_cls = get_engine(program.engine)
-    except ValidationError as exc:
-        raise PlanCorruptionError(
-            f"{path}: plan file names engine {program.engine!r}, which "
-            f"is not in this build's registry: {exc}"
-        ) from exc
-    p = _restore_narrowed(arrays, "p")
+    if "affine.recipe" in arrays:
+        plan = _regenerate_formula(path, arrays)
+        program, p = plan.lower(), plan.p
+    else:
+        plan = None
+        program = _unpack_program(path, arrays)
+        try:
+            engine_cls = get_engine(program.engine)
+        except ValidationError as exc:
+            raise PlanCorruptionError(
+                f"{path}: plan file names engine {program.engine!r}, "
+                f"which is not in this build's registry: {exc}"
+            ) from exc
+        p = _restore_narrowed(arrays, "p")
     semantic = None
     if sem_json is not None:
         semantic = _validate_semantic_certificate(
             path, sem_json, actual, program, p
         )
-    plan = engine_cls.from_program(program, p)
+    if plan is None:
+        plan = engine_cls.from_program(program, p)
     if semantic is not None:
         plan.semantic_certificate = semantic
     if certificate is not None:

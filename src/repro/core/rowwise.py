@@ -116,6 +116,22 @@ class RowwiseSchedule:
         node offset ``j*w``) yields one regular multigraph that any
         backend colours at once.
         """
+        return cls.plan_with(
+            gamma, width, backend,
+            lambda graph: edge_coloring(graph, backend=backend),
+        )
+
+    @classmethod
+    def plan_with(
+        cls, gamma: np.ndarray, width: int, backend: str, color
+    ) -> "RowwiseSchedule":
+        """The schedule from the bank colouring ``color(graph)`` returns
+        for the stacked bank multigraph of ``gamma``.
+
+        Every colouring is verified as a proper ``m/w``-colouring
+        before it is used, whichever way ``color`` computed it;
+        ``backend`` only labels the span.
+        """
         gamma = _check_row_permutations(gamma)
         rows, m = gamma.shape
         if width < 1:
@@ -133,7 +149,7 @@ class RowwiseSchedule:
         )
         with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
                             backend=backend):
-            colors = edge_coloring(graph, backend=backend)
+            colors = color(graph)
             verify_edge_coloring(graph, colors,
                                  expect_colors=max(m // width, 1))
             telemetry.count("coloring_rows_colored_total", rows)

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
+from repro.core import affine
 from repro.core.colwise import ColumnwiseSchedule
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduler import ThreeStepDecomposition, decompose
@@ -70,6 +71,12 @@ class ScheduledPermutation(EngineBase):
     certificate: "Certificate | None" = field(
         default=None, compare=False, repr=False
     )
+    #: The affine form ``x -> A x xor c`` of ``p`` when the plan was
+    #: made in closed form (:mod:`repro.core.affine`), else ``None``.
+    #: A plan carrying it is saved as that formula, not as arrays.
+    affine: "affine.AffineForm | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Planning
@@ -83,32 +90,64 @@ class ScheduledPermutation(EngineBase):
 
         ``len(p)`` must be a perfect square whose root is a multiple of
         ``width``.  ``backend`` picks the König colouring implementation
-        for both the global and the per-row colourings.
+        for both the global and the per-row colourings.  Under
+        ``"auto"``, an affine ``p`` (``x -> A x xor c`` over GF(2), such
+        as bit reversal and transpose) is planned with every colouring
+        in closed form instead (:mod:`repro.core.affine`) from
+        ``n = 2^14`` up.
         """
         p = check_permutation(p)
         n = int(p.shape[0])
         check_square(n, width, "len(p)")
         with telemetry.span("scheduled.plan", n=n, width=width,
                             backend=backend):
-            decomposition = decompose(p, backend=backend)
-            with telemetry.span("scheduled.plan.step1"):
-                step1 = RowwiseSchedule.plan(decomposition.gamma1, width,
-                                             backend)
-            with telemetry.span("scheduled.plan.step2"):
-                step2 = ColumnwiseSchedule.plan(decomposition.delta, width,
-                                                backend)
-            with telemetry.span("scheduled.plan.step3"):
-                step3 = RowwiseSchedule.plan(decomposition.gamma3, width,
-                                             backend)
+            form = (
+                affine.detect(p)
+                if backend == "auto" and n >= affine.CLOSED_FORM_MIN_N
+                else None
+            )
+            if form is not None:
+                plan = cls._closed_form(p, form, width, faults=True)
+                telemetry.count("plans_affine_closed_total")
+            else:
+                decomposition = decompose(p, backend=backend)
+                with telemetry.span("scheduled.plan.step1"):
+                    step1 = RowwiseSchedule.plan(decomposition.gamma1,
+                                                 width, backend)
+                with telemetry.span("scheduled.plan.step2"):
+                    step2 = ColumnwiseSchedule.plan(decomposition.delta,
+                                                    width, backend)
+                with telemetry.span("scheduled.plan.step3"):
+                    step3 = RowwiseSchedule.plan(decomposition.gamma3,
+                                                 width, backend)
+                plan = cls(p=p, width=width, decomposition=decomposition,
+                           step1=step1, step2=step2, step3=step3)
             telemetry.count("plans_scheduled_total")
-        return cls(
-            p=p,
-            width=width,
-            decomposition=decomposition,
-            step1=step1,
-            step2=step2,
-            step3=step3,
+        return plan
+
+    @classmethod
+    def from_affine(
+        cls, form: "affine.AffineForm", width: int
+    ) -> "ScheduledPermutation":
+        """Regenerate the closed-form plan of the affine permutation
+        ``form`` — exactly the plan :meth:`plan` makes for it (the
+        loader of formula plan files calls this)."""
+        check_square(form.n, width, "len(p)")
+        return cls._closed_form(form.permutation(), form, width,
+                                faults=False)
+
+    @classmethod
+    def _closed_form(
+        cls, p: np.ndarray, form: "affine.AffineForm", width: int,
+        faults: bool,
+    ) -> "ScheduledPermutation":
+        decomposition, step1, step2, step3 = affine.plan_parts(
+            form, width, p, faults
         )
+        plan = cls(p=p, width=width, decomposition=decomposition,
+                   step1=step1, step2=step2, step3=step3)
+        plan.affine = form
+        return plan
 
     @property
     def n(self) -> int:

@@ -152,12 +152,22 @@ def decompose(
             empty, empty, empty, np.empty(0, dtype=np.int64)
         )
     with telemetry.span("plan.decompose", n=int(n), m=m, backend=backend):
-        return _decompose_inner(p, n, m, backend)
+        return decompose_with(
+            p, m, backend, lambda graph: edge_coloring(graph, backend=backend)
+        )
 
 
-def _decompose_inner(
-    p: np.ndarray, n: int, m: int, backend: str
+def decompose_with(
+    p: np.ndarray, m: int, backend: str, color
 ) -> ThreeStepDecomposition:
+    """The decomposition of ``p`` (``m * m`` elements) from the König
+    colouring ``color(graph)`` returns for its row multigraph.
+
+    Every colouring is verified as a proper ``m``-colouring before it
+    is used, whichever way ``color`` computed it; ``backend`` only
+    labels the span.
+    """
+    n = m * m
     i = np.arange(n, dtype=np.int64)
     src_row = i // m
     dst = p
@@ -165,7 +175,7 @@ def _decompose_inner(
 
     graph = RegularBipartiteMultigraph.from_edges(src_row, dst_row, m, m)
     with telemetry.span("plan.decompose.coloring", backend=backend):
-        colors = edge_coloring(graph, backend=backend)
+        colors = color(graph)
         verify_edge_coloring(graph, colors, expect_colors=m)
 
     # gamma1[r, c] = colour of element (r, c): elements are enumerated

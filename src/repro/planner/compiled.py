@@ -383,6 +383,9 @@ class Planner:
         self._sealed_plans = metrics.counter(
             "planner_sealed_plans_total"
         )
+        # Cold plans made in closed form (affine permutations), so
+        # /metrics shows which path planned.
+        self._affine_plans = metrics.counter("planner_affine_plans_total")
         # Rejections are labeled by the blamed pass; binding every
         # pass up front exports the family at zero.
         for blame in (*(p.name for p in self.pipeline.passes),
@@ -516,6 +519,8 @@ class Planner:
                 p, width=width, backend=backend or self.backend,
             )
         self._cold_plans.inc()
+        if getattr(plan, "affine", None) is not None:
+            self._affine_plans.inc()
         proof = self._optimize_validated(
             plan, persisting=self.disk is not None
         )

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.coloring import euler as _euler
 from repro.coloring import matching as _matching
+from repro.core import affine as _affine
 from repro.core.io import _read_npz, _write_npz
 from repro.errors import (
     ColoringError,
@@ -130,7 +131,8 @@ class FaultPlan:
         across runs.
     coloring_sites:
         Restrict transient failures to the named hook sites
-        (``"euler"``, ``"matching"``); ``None`` hits all of them.
+        (``"euler"``, ``"matching"``, and ``"affine"`` for the closed-form
+        colourings of affine permutations); ``None`` hits all of them.
     capacity_threshold:
         When set, any colouring of a multigraph with ``degree >=
         capacity_threshold`` raises
@@ -191,6 +193,7 @@ class FaultPlan:
         self._scatter_count = 0
         _euler._fault_hook = self._hook
         _matching._fault_hook = self._hook
+        _affine._fault_hook = self._hook
         if self.scatter_collisions:
             _memory._scatter_fault_hook = self._scatter_hook
         return self
@@ -199,11 +202,13 @@ class FaultPlan:
         global _active
         _euler._fault_hook = None
         _matching._fault_hook = None
+        _affine._fault_hook = None
         _memory._scatter_fault_hook = None
         _active = None
 
     def _hook(self, site: str, graph) -> None:
-        """Called by the colouring backends before any real work."""
+        """Called by the colouring backends (and the closed-form
+        colourings) before any real work."""
         if (
             self.capacity_threshold is not None
             and graph.degree >= self.capacity_threshold

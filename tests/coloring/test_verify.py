@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import is_proper_edge_coloring, verify_edge_coloring
@@ -138,3 +140,82 @@ def test_decomposition_verify_coloring_edge_cases():
     d = decompose(np.arange(16))
     with pytest.raises(SchedulingError):
         d.verify_coloring(np.arange(4))  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# The counting check agrees with the sort-based check it replaced
+# ---------------------------------------------------------------------------
+
+
+def _sort_verdict(graph, colors, expect_colors):
+    """The previous check: ``np.unique`` for the colour range, then a
+    sort + adjacent compare of ``node * D + colour`` per side.  Returns
+    ``None`` for a valid colouring, else the error it raised."""
+    colors = np.asarray(colors, dtype=np.int64)
+    if colors.shape != (graph.num_edges,):
+        return "shape"
+    if graph.num_edges == 0:
+        return None
+    if colors.min() < 0:
+        return "negative colour found"
+    used = np.unique(colors)
+    if expect_colors is not None and (
+        used.shape[0] > expect_colors or colors.max() >= expect_colors
+    ):
+        return (f"colouring uses colours {used.min()}..{colors.max()} "
+                f"({used.shape[0]} distinct), expected at most "
+                f"{expect_colors}")
+    num_colors = int(colors.max()) + 1
+    for nodes in (graph.left, graph.right):
+        pair = np.sort(nodes * np.int64(num_colors) + colors)
+        if np.any(pair[1:] == pair[:-1]):
+            return "colouring is not proper: a node sees a colour twice"
+    return None
+
+
+def _count_verdict(graph, colors, expect_colors):
+    try:
+        verify_edge_coloring(graph, colors, expect_colors=expect_colors)
+    except ColoringError as exc:
+        return str(exc)
+    return None
+
+
+_MUTATIONS = ("none", "one-edge", "negative", "out-of-range", "huge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=st.integers(1, 12), log_degree=st.integers(0, 4),
+       mutation=st.sampled_from(_MUTATIONS), expect=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_counting_check_agrees_with_sort_check(
+    nodes, log_degree, mutation, expect, seed
+):
+    from repro.coloring import euler_split_coloring
+
+    rng = np.random.default_rng(seed)
+    degree = 1 << log_degree
+    left = np.repeat(np.arange(nodes), degree)
+    right = np.concatenate(
+        [rng.permutation(nodes) for _ in range(degree)]
+    )
+    graph = RegularBipartiteMultigraph.from_edges(left, right, nodes, nodes)
+    colors = euler_split_coloring(graph)
+    edge = int(rng.integers(graph.num_edges))
+    if mutation == "one-edge":
+        colors[edge] = (colors[edge] + 1 + int(rng.integers(degree))) % (
+            degree + 1)
+    elif mutation == "negative":
+        colors[edge] = -1 - int(rng.integers(5))
+    elif mutation == "out-of-range":
+        colors[edge] = degree + int(rng.integers(3))
+    elif mutation == "huge":
+        colors[edge] = 1 << 40
+    expect_colors = degree if expect else None
+    verdict = _count_verdict(graph, colors, expect_colors)
+    assert verdict == _sort_verdict(graph, colors, expect_colors)
+    assert is_proper_edge_coloring(graph, colors) == (
+        _sort_verdict(graph, colors, None) is None
+    )
+    if mutation == "none":
+        assert verdict is None

@@ -57,6 +57,10 @@ class TestHammer:
         failed = []
         lock = threading.Lock()
         stop = threading.Event()
+        # Clients start only once the chaos thread has corrupted and
+        # invalidated one entry, so the faults always meet traffic
+        # however the threads are scheduled.
+        bitten = threading.Event()
 
         def chaos():
             faults = FaultPlan(seed=3)
@@ -80,6 +84,7 @@ class TestHammer:
                 except Exception:
                     pass
                 planner.memory.invalidate(fingerprints[name])
+                bitten.set()
                 try:
                     with FaultPlan(seed=3 + cycle,
                                    transient_coloring_failures=1):
@@ -89,6 +94,7 @@ class TestHammer:
                 cycle += 1
 
         def client(seed):
+            assert bitten.wait(timeout=60.0), "chaos thread never ran"
             rng = np.random.default_rng(seed)
             for i in range(40):
                 name = names[int(rng.integers(len(names)))]
